@@ -8,6 +8,13 @@ DAG linking each result tensor to its parents; ``backward`` walks it in
 exact reverse topological order. Graphs are confined to the context that
 built them; distinct graphs may run concurrently.
 
+Inside a ``no_grad()`` block ops record no parents and no backward rule,
+so a forward pass that is never differentiated holds only the arrays it
+still references. The codec's inference paths (encode, decode, eval) and
+the trainer's evaluation passes run this way. The switch is a context
+variable: it covers the current thread or task only, and a new thread
+starts with graphs on.
+
 Every op checks its output for NaN/Inf and raises ``NonFiniteError``
 rather than propagating poison through training.
 """
@@ -15,6 +22,8 @@ rather than propagating poison through training.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +39,7 @@ __all__ = [
     "backward",
     "grad_check",
     "GradCheckReport",
+    "no_grad",
     "add",
     "sub",
     "mul",
@@ -188,6 +198,22 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("tricodec_grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: op results have ``requires_grad``
+    False and no parents, whatever their inputs. Forward values are
+    unchanged. Usable as a decorator; nests, and restores the previous
+    state on exit, also after an exception."""
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable, op: str) -> Tensor:
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"op '{op}' produced NaN/Inf")
@@ -195,7 +221,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable, op
     out.data = data
     out.grad = None
     out.name = None
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

@@ -18,6 +18,7 @@ reader never observes a half-written checkpoint.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -47,29 +48,26 @@ class CheckpointError(Exception):
 
 
 def save_tensors(path, tensors: dict) -> None:
-    """Write ``{name: ndarray}`` to ``path`` atomically, preserving order."""
-    parts = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
-    for name, arr in tensors.items():
-        arr = np.asarray(arr)
-        shape = arr.shape  # before ascontiguousarray, which promotes 0-d to 1-d
-        arr = np.ascontiguousarray(arr)
-        dt = arr.dtype.newbyteorder("<")
-        if dt not in _CODES:
-            raise CheckpointError(f"tensor '{name}': unsupported dtype {arr.dtype}")
-        nb = name.encode("utf-8")
-        if len(nb) > 0xFFFF:
-            raise CheckpointError(f"tensor name too long ({len(nb)} bytes)")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<BB", _CODES[dt], len(shape)))
-        parts.append(struct.pack(f"<{len(shape)}Q", *shape))
-        parts.append(arr.astype(dt, copy=False).tobytes(order="C"))
+    """Write ``{name: ndarray}`` to ``path`` atomically, preserving order.
 
+    Each record goes to the temp file as it is produced, so the write holds
+    no serialized copy of the tensors."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(b"".join(parts))
+            f.write(MAGIC + struct.pack("<II", VERSION, len(tensors)))
+            for name, arr in tensors.items():
+                arr = np.asarray(arr)
+                dt = arr.dtype.newbyteorder("<")
+                if dt not in _CODES:
+                    raise CheckpointError(f"tensor '{name}': unsupported dtype {arr.dtype}")
+                nb = name.encode("utf-8")
+                if len(nb) > 0xFFFF:
+                    raise CheckpointError(f"tensor name too long ({len(nb)} bytes)")
+                rank = arr.ndim
+                f.write(struct.pack(f"<H{len(nb)}sBB{rank}Q", len(nb), nb, _CODES[dt], rank, *arr.shape))
+                f.write(np.ascontiguousarray(arr.astype(dt, copy=False)))  # C-order bytes
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -79,39 +77,56 @@ def save_tensors(path, tensors: dict) -> None:
         raise
 
 
-def load_tensors(path) -> dict:
-    """Read a container written by ``save_tensors``; returns ``{name: ndarray}``."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise CheckpointError(f"{path}: too short for a checkpoint header")
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    version, count = struct.unpack_from("<II", raw, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}, expected {VERSION}")
+def _read_header(f, fmt: str, path, i: int) -> tuple:
+    n = struct.calcsize(fmt)
+    raw = f.read(n)
+    if len(raw) != n:
+        raise CheckpointError(f"{path}: truncated header in tensor record {i}")
+    return struct.unpack(fmt, raw)
 
-    out = {}
-    pos = 12
-    for i in range(count):
-        try:
-            (nlen,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            name = raw[pos : pos + nlen].decode("utf-8")
-            pos += nlen
-            code, rank = struct.unpack_from("<BB", raw, pos)
-            pos += 2
-            dims = struct.unpack_from(f"<{rank}Q", raw, pos)
-            pos += 8 * rank
-        except struct.error:
-            raise CheckpointError(f"{path}: truncated header in tensor record {i}") from None
-        if code not in _DTYPES:
-            raise CheckpointError(f"{path}: tensor '{name}' has unknown dtype code {code}")
-        dt = _DTYPES[code]
-        nbytes = dt.itemsize * int(np.prod(dims, dtype=np.int64)) if rank else dt.itemsize
-        if pos + nbytes > len(raw):
-            raise CheckpointError(f"{path}: tensor '{name}' payload truncated")
-        out[name] = np.frombuffer(raw[pos : pos + nbytes], dtype=dt).reshape(dims).copy()
-        pos += nbytes
-    if pos != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes after the last tensor")
+
+def load_tensors(path) -> dict:
+    """Read a container written by ``save_tensors``; returns ``{name: ndarray}``.
+
+    Record headers are read from the open file and each payload is read
+    straight into its preallocated array, so the peak is one copy of the
+    tensors."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if len(head) < 12:
+            raise CheckpointError(f"{path}: too short for a checkpoint header")
+        if head[:4] != MAGIC:
+            raise CheckpointError(f"{path}: bad magic {head[:4]!r}, expected {MAGIC!r}")
+        version, count = struct.unpack_from("<II", head, 4)
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}, expected {VERSION}")
+
+        out = {}
+        for i in range(count):
+            (nlen,) = _read_header(f, "<H", path, i)
+            (nb,) = _read_header(f, f"<{nlen}s", path, i)
+            try:
+                name = nb.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: tensor record {i} name is not valid UTF-8") from None
+            code, rank = _read_header(f, "<BB", path, i)
+            dims = _read_header(f, f"<{rank}Q", path, i)
+            if code not in _DTYPES:
+                raise CheckpointError(f"{path}: tensor '{name}' has unknown dtype code {code}")
+            dt = _DTYPES[code]
+            nbytes = dt.itemsize * math.prod(dims)
+            # checked before allocating, so corrupt dims cannot demand a huge array
+            if f.tell() + nbytes > size:
+                raise CheckpointError(f"{path}: tensor '{name}' payload truncated")
+            try:
+                arr = np.empty(dims, dtype=dt)
+            except ValueError:  # a zero-size shape can still exceed numpy's dimension limit
+                raise CheckpointError(f"{path}: tensor '{name}' has impossible dims {dims}") from None
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise CheckpointError(f"{path}: tensor '{name}' payload truncated")
+            out[name] = arr
+        trailing = size - f.tell()
+    if trailing:
+        raise CheckpointError(f"{path}: {trailing} trailing bytes after the last tensor")
     return out

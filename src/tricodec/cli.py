@@ -12,8 +12,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -52,30 +53,32 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # training config files (JSON, documented key set)
 
+def _scalar_fields(cls, skip=()) -> dict:
+    """``{field name: type}`` for the int, float and bool fields of a config
+    dataclass, so the file schema follows the dataclass."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: hints[f.name]
+        for f in fields(cls)
+        if hints[f.name] in (int, float, bool) and f.name not in skip
+    }
+
+
+# the stage name decides masking and the contrastive term
+_STAGE_KEYS = _scalar_fields(StageConfig, skip=("enable_mask", "enable_contrastive"))
 _TOP_KEYS = {
     "stage": str,
-    "seed": int,
     "manifest": str,
     "out_dir": str,
     "init_checkpoint": str,
     "model": str,
-    "steps": int,
-    "batch_size": int,
-    "lr": float,
-    "lr_min": float,
-    "weight_decay": float,
-    "lam_mel": float,
-    "lam_c": float,
-    "beta_commit": float,
-    "max_clip_seconds": float,
-    "checkpoint_every": int,
-    "log_every": int,
     "finetune_fraction": float,
     "mask": dict,
     "contrastive": dict,
+    **_STAGE_KEYS,
 }
-_MASK_KEYS = {"p": float, "span": int}
-_CONTRASTIVE_KEYS = {"n_distractors": int, "temperature": float, "divide_by_count": bool}
+_MASK_KEYS = _scalar_fields(MaskSpec)
+_CONTRASTIVE_KEYS = _scalar_fields(ContrastiveConfig)
 _REQUIRED = ("stage", "manifest", "out_dir")
 
 
@@ -117,26 +120,7 @@ def load_train_config(path) -> dict:
 
 def _stage_config_from(raw: dict) -> StageConfig:
     stage = Stage.from_string(raw["stage"])
-    kw = {}
-    for key in (
-        "steps",
-        "batch_size",
-        "seed",
-        "lr",
-        "lr_min",
-        "weight_decay",
-        "lam_mel",
-        "lam_c",
-        "beta_commit",
-        "lam_align",
-        "freeze_encoder_steps",
-        "warm_start",
-        "max_clip_seconds",
-        "checkpoint_every",
-        "log_every",
-    ):
-        if key in raw:
-            kw[key] = raw[key]
+    kw = {key: raw[key] for key in _STAGE_KEYS if key in raw}
     if "mask" in raw:
         kw["mask"] = MaskSpec(**raw["mask"])
     if "contrastive" in raw:

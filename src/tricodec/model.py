@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import checkpoint as ckpt
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .decoder import DecoderConfig, decode, init_decoder_params
 from .encoder import EncoderConfig, MoEConfig, conv_encode, encode_frames, init_encoder_params
 from .quantizer import QuantizerConfig, TokenStream, init_quantizer_params, quantize, simvq_embed
@@ -101,6 +101,12 @@ class Codec:
     codebook base has requires_grad False and is skipped by optimizers.
     Weights are immutable during inference, so concurrent encode/decode
     calls are safe; training steps require exclusive access.
+
+    ``encode`` and ``decode_tokens`` (and so ``reconstruct``) are the
+    inference paths: they run under ``no_grad`` and build no backward
+    graph, so they hold only the forward pass's own arrays.
+    ``encode_frames``, ``quantize`` and ``decode_frames`` build the graph
+    that training differentiates.
     """
 
     def __init__(self, config: CodecConfig, seed: int = 0, dtype=np.float64, params: Optional[dict] = None):
@@ -143,6 +149,7 @@ class Codec:
     def conv_features(self, samples) -> Tensor:
         return conv_encode(samples, self.params, self.config.encoder)
 
+    @no_grad()
     def encode(self, clip: AudioClip, domain: Optional[Domain] = None) -> TokenStream:
         """Clip (already at the codec rate) -> token stream."""
         if clip.sample_rate != self.config.sample_rate:
@@ -153,6 +160,7 @@ class Codec:
         stream, _ = self.quantize(frames, domain=domain)
         return stream
 
+    @no_grad()
     def decode_tokens(self, stream: TokenStream) -> AudioClip:
         codewords = simvq_embed(stream.ids, self.params)
         wave = self.decode_frames(codewords)

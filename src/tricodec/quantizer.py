@@ -189,8 +189,8 @@ def quantize(
     """
     eff = effective_codewords(params)
     lo, hi = (0, cfg.codebook_size) if domain is None else cfg.region(domain)
-    book = eff.data[lo:hi].astype(np.float64)
-    f = frames.data.astype(np.float64)
+    book = np.asarray(eff.data[lo:hi], dtype=np.float64)
+    f = np.asarray(frames.data, dtype=np.float64)
 
     ids = lo + _nearest(f, book)
     codewords = gather_rows(eff, ids)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import checkpoint as ckpt
-from .autodiff import NonFiniteError, Tensor, add, backward, mul
+from .autodiff import NonFiniteError, Tensor, add, backward, mul, no_grad
 from .losses import (
     ContrastiveConfig,
     MaskSpec,
@@ -290,6 +290,7 @@ def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.rand
     return terms
 
 
+@no_grad()
 def dataset_recon_loss(codec: Codec, clips: Sequence[AudioClip], cfg: StageConfig) -> float:
     """Mean reconstruction loss (time + lam_mel*mel) over all clips,
     domain-quantized, no masking. Deterministic; used for trend checks."""
@@ -304,6 +305,7 @@ def dataset_recon_loss(codec: Codec, clips: Sequence[AudioClip], cfg: StageConfi
     return float(np.mean(vals))
 
 
+@no_grad()
 def dataset_contrastive_loss(
     codec: Codec,
     clips: Sequence[AudioClip],
@@ -333,6 +335,7 @@ def dataset_contrastive_loss(
     return float(np.mean(vals))
 
 
+@no_grad()
 def _warm_start_projection(codec: Codec, clips: Sequence[AudioClip], cfg: StageConfig) -> None:
     """Fit the codebook projection to the untrained encoder's frame cloud.
 

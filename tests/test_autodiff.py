@@ -1,5 +1,7 @@
 """Gradient and shape contracts for the reverse-mode tensor core."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from tricodec.autodiff import (
     masked_fill_rows,
     matmul,
     mul,
+    no_grad,
     passthrough,
     reshape,
     rope_attention,
@@ -522,3 +525,80 @@ def test_float32_preserved_float64_default():
     assert Tensor([1, 2, 3]).dtype == np.float64
     out = add(Tensor(np.ones(3, dtype=np.float32)), Tensor(np.ones(3, dtype=np.float32)))
     assert out.dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+
+def small_graph(seed=31):
+    """conv1d -> rope_attention -> layer_norm on requires-grad weights."""
+    rng = np.random.default_rng(seed)
+    h = 8
+    x = Tensor(rand(rng, 20, 3))
+    cw = Tensor(rand(rng, h, 3, 3) * 0.3, requires_grad=True)
+    ws = [Tensor(rand(rng, h, h) * 0.3, requires_grad=True) for _ in range(4)]
+    gain = Tensor(1.0 + 0.1 * rand(rng, h), requires_grad=True)
+    bias = Tensor(0.1 * rand(rng, h), requires_grad=True)
+
+    def forward():
+        z = gelu(conv1d(x, cw, stride=2, padding=1))
+        return layer_norm(rope_attention(z, *ws, heads=2), gain, bias)
+
+    return forward
+
+
+def test_no_grad_forward_bit_identical():
+    forward = small_graph()
+    with_grad = forward()
+    with no_grad():
+        without = forward()
+    assert with_grad.requires_grad
+    assert np.array_equal(with_grad.data, without.data)
+
+
+def test_no_grad_results_have_no_graph():
+    forward = small_graph()
+    with no_grad():
+        out = forward()
+        loss = tmean(out)
+    for t in (out, loss):
+        assert not t.requires_grad
+        assert t._parents == () and t._backward is None
+    with pytest.raises(AutodiffError):
+        backward(loss)
+
+
+def builds_graph():
+    return mul(Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2))).requires_grad
+
+
+def test_no_grad_restored_after_exception_and_nesting():
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    assert builds_graph()
+    with no_grad():
+        with no_grad():
+            assert not builds_graph()
+        assert not builds_graph()
+    assert builds_graph()
+
+
+def test_no_grad_as_decorator():
+    @no_grad()
+    def inner():
+        return builds_graph()
+
+    assert not inner()
+    assert builds_graph()
+
+
+def test_thread_started_inside_no_grad_builds_graphs():
+    seen = []
+    with no_grad():
+        worker = threading.Thread(target=lambda: seen.append(builds_graph()))
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen == [True]

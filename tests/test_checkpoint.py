@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,51 @@ def test_truncated_payload_rejected(tmp_path):
     p.write_bytes(raw[:-40])
     with pytest.raises(CheckpointError):
         load_tensors(p)
+
+
+def test_truncated_later_payload_rejected(tmp_path):
+    p = tmp_path / "h2.tckp"
+    save_tensors(p, sample_arrays())
+    raw = p.read_bytes()
+    # cut inside the payload of the last record (5 bytes of "hello")
+    p.write_bytes(raw[:-3])
+    with pytest.raises(CheckpointError) as e:
+        load_tensors(p)
+    assert "'blob'" in str(e.value) and "truncated" in str(e.value)
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    p = tmp_path / "h3.tckp"
+    save_tensors(p, {"ab": np.ones(1)})
+    raw = bytearray(p.read_bytes())
+    raw[4 + 4 + 4 + 2] = 0xFF  # first name byte
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError) as e:
+        load_tensors(p)
+    assert "utf-8" in str(e.value).lower()
+
+
+def test_impossible_zero_size_dims_rejected(tmp_path):
+    p = tmp_path / "h4.tckp"
+    record = struct.pack("<H1sBB2Q", 1, b"x", 1, 2, 0, 2**63)
+    p.write_bytes(b"TCKP" + struct.pack("<II", 1, 1) + record)
+    with pytest.raises(CheckpointError) as e:
+        load_tensors(p)
+    assert "dims" in str(e.value)
+
+
+def test_load_peak_memory_is_one_copy(tmp_path):
+    p = tmp_path / "big.tckp"
+    n_bytes = 8 << 20
+    save_tensors(p, {"w": np.ones(n_bytes // 8)})
+    tracemalloc.start()
+    try:
+        back = load_tensors(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back["w"].nbytes == n_bytes
+    assert peak < 1.5 * n_bytes, f"peak {peak / n_bytes:.2f}x the tensor size"
 
 
 def test_trailing_garbage_rejected(tmp_path):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tricodec.cli import ConfigError, load_train_config, main
+from tricodec.cli import ConfigError, _stage_config_from, load_train_config, main
 from tricodec.quantizer import load_tokens
 from tricodec.signal import load_wav
 
@@ -120,6 +120,17 @@ def test_config_bad_stage(tmp_path):
 def test_config_bad_model(tmp_path):
     with pytest.raises(ConfigError):
         load_train_config(write_cfg(tmp_path, base_cfg(model="tiny")))
+
+
+def test_config_documented_stage_keys_reach_stage_config(tmp_path):
+    cfg = base_cfg(warm_start=False, lam_align=0.5, freeze_encoder_steps=3,
+                   mask={"p": 0.2}, contrastive={"temperature": 0.5})
+    raw = load_train_config(write_cfg(tmp_path, cfg))
+    stage = _stage_config_from(raw)
+    assert stage.warm_start is False
+    assert stage.lam_align == 0.5
+    assert stage.freeze_encoder_steps == 3
+    assert stage.mask.p == 0.2 and stage.contrastive.temperature == 0.5
 
 
 def test_config_invalid_json(tmp_path):

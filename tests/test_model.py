@@ -8,7 +8,7 @@ from tricodec.checkpoint import CheckpointError
 from tricodec.decoder import DecoderConfig
 from tricodec.encoder import EncoderConfig, MoEConfig
 from tricodec.model import Codec, CodecConfig
-from tricodec.quantizer import QuantizerConfig
+from tricodec.quantizer import QuantizerConfig, simvq_embed
 from tricodec.signal import AudioClip, Domain
 
 
@@ -184,6 +184,23 @@ def test_state_arrays_layout():
     assert "meta/config_json" in arrays
     assert all(k.startswith(("param/", "meta/")) for k in arrays)
     assert arrays["param/vq.base"].shape == (16, 8)
+
+
+def test_inference_paths_match_grad_mode_path():
+    # encode/decode_tokens build no graph; their ids and samples must equal
+    # the same forward pass run with the graph built
+    codec = Codec(CodecConfig.toy(), seed=4)
+    clip = tone(4800, hz=330.0)
+    for domain in (None, Domain.MUSIC):
+        frames, _ = codec.encode_frames(clip.samples)
+        stream, quantized = codec.quantize(frames, domain=domain)
+        assert quantized.requires_grad
+        wave = codec.decode_frames(simvq_embed(stream.ids, codec.params))
+        assert wave.requires_grad
+
+        got = codec.encode(clip, domain=domain)
+        assert np.array_equal(got.ids, stream.ids)
+        assert np.array_equal(codec.decode_tokens(got).samples, wave.data)
 
 
 def test_decode_depends_only_on_ids():
