@@ -539,6 +539,13 @@ def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # convolutions (time-major: x is (T, C))
+#
+# Both ops cut the time axis into blocks of ``stride`` steps: a contiguous
+# (T, C) array reshaped, without a copy, to (T / stride, stride * C). Kernel
+# tap j = q * stride + r then sits at block offset q, lane r, so a K-tap
+# kernel is ceil(K / stride) weight blocks (taps past K are zero), and each
+# block is one BLAS GEMM against a shifted row slice of the blocked array.
+# No (T, K, C) window array is built; at stride 1 the blocks are the taps.
 
 
 def _pad_pair(padding) -> tuple:
@@ -547,11 +554,41 @@ def _pad_pair(padding) -> tuple:
     return (int(padding), int(padding))
 
 
+def _shift_sum(blocks: np.ndarray, mats: np.ndarray, n: int) -> np.ndarray:
+    """Sum over q of blocks[q : q + n] @ mats[q]."""
+    out = blocks[:n] @ mats[0]
+    tmp = None
+    for q in range(1, len(mats)):
+        tmp = np.matmul(blocks[q : q + n], mats[q], out=tmp)
+        out += tmp
+    return out
+
+
+def _shift_add(blocks: np.ndarray, y: np.ndarray, mats: np.ndarray) -> None:
+    """blocks[q : q + len(y)] += y @ mats[q] for every q (adjoint of ``_shift_sum``)."""
+    tmp = None
+    for q in range(len(mats)):
+        tmp = np.matmul(y, mats[q], out=tmp)
+        blocks[q : q + y.shape[0]] += tmp
+
+
+def _shift_outer(blocks: np.ndarray, y: np.ndarray, nb: int) -> np.ndarray:
+    """Stack over q < nb of blocks[q : q + len(y)].T @ y: the weight-block
+    gradient of ``_shift_sum`` and, transposed, of ``_shift_add``."""
+    out = np.empty((nb, blocks.shape[1], y.shape[1]), dtype=np.result_type(blocks, y))
+    for q in range(nb):
+        np.matmul(blocks[q : q + y.shape[0]].T, y, out=out[q])
+    return out
+
+
 def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, padding=0) -> Tensor:
     """1-D convolution over time-major input.
 
     x: (T, C_in), w: (C_out, C_in, K), output (T', C_out) with
-    T' = floor((T + pad_l + pad_r - K) / stride) + 1.
+    T' = floor((T + pad_l + pad_r - K) / stride) + 1, and
+    out[t] = sum_j xp[stride * t + j] @ w[:, :, j].T + b over the
+    zero-padded input xp. That is ceil(K / stride) GEMMs on shifted row
+    slices of xp in blocks of ``stride`` steps; the graph keeps only xp.
     """
     if stride < 1:
         raise ShapeError(f"conv1d: stride must be >= 1, got {stride}")
@@ -561,27 +598,29 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
     if x.shape[1] != c_in:
         raise ShapeError(f"conv1d: channel mismatch, input {x.shape} vs weight {w.shape}")
     pl, pr = _pad_pair(padding)
-    t_in = x.shape[0] + pl + pr
-    if t_in < k:
-        raise ShapeError(f"conv1d: padded length {t_in} shorter than kernel {k}")
-    t_out = (t_in - k) // stride + 1
+    t = x.shape[0]
+    if t + pl + pr < k:
+        raise ShapeError(f"conv1d: padded length {t + pl + pr} shorter than kernel {k}")
+    t_out = (t + pl + pr - k) // stride + 1
 
-    xp = np.pad(x.data, ((pl, pr), (0, 0)))
-    win_idx = (np.arange(t_out)[:, None] * stride + np.arange(k)[None, :])
-    windows = xp[win_idx]                                  # (T', K, C_in)
-    wmat = w.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    data = windows.reshape(t_out, k * c_in) @ wmat
+    nb = -(-k // stride)
+    # whole blocks that cover every window and all of x
+    rows = -(-max((t_out - 1 + nb) * stride, pl + t) // stride)
+    xp = np.zeros((rows * stride, c_in), dtype=x.dtype)
+    xp[pl : pl + t] = x.data
+    xb = xp.reshape(rows, stride * c_in)
+    wp = np.zeros((nb * stride, c_in, c_out), dtype=w.dtype)
+    wp[:k] = w.data.transpose(2, 1, 0)
+    wb = wp.reshape(nb, stride * c_in, c_out)
+    data = _shift_sum(xb, wb, t_out)
     if b is not None:
         data = data + b.data
 
     def bwd(g):
-        gw_flat = windows.reshape(t_out, k * c_in).T @ g   # (K*C_in, C_out)
-        gw = gw_flat.reshape(k, c_in, c_out).transpose(2, 1, 0)
-        gwin = (g @ wmat.T).reshape(t_out, k, c_in)
-        gxp = np.zeros_like(xp)
-        for j in range(k):
-            gxp[j : j + stride * t_out : stride] += gwin[:, j, :]
-        gx = gxp[pl : pl + x.shape[0]]
+        gw = _shift_outer(xb, g, nb).reshape(nb * stride, c_in, c_out)[:k].transpose(2, 1, 0)
+        gxb = np.zeros_like(xb)
+        _shift_add(gxb, g, wb.transpose(0, 2, 1))
+        gx = gxb.reshape(rows * stride, c_in)[pl : pl + t]
         if b is not None:
             return gx, gw, g.sum(axis=0)
         return gx, gw
@@ -593,7 +632,10 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
 def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) -> Tensor:
     """Transposed 1-D convolution (full output, no cropping).
 
-    x: (T, C_in), w: (C_in, C_out, K), output ((T-1)*stride + K, C_out).
+    x: (T, C_in), w: (C_in, C_out, K), output ((T-1)*stride + K, C_out)
+    with out[stride * t + j] += x[t] @ w[:, :, j], plus b. That is
+    ceil(K / stride) GEMMs, each added into a shifted row slice of the
+    output in blocks of ``stride`` steps: the adjoint of ``conv1d``.
     """
     if stride < 1:
         raise ShapeError(f"conv1d_transpose: stride must be >= 1, got {stride}")
@@ -607,18 +649,24 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: i
     t = x.shape[0]
     t_out = (t - 1) * stride + k
 
-    contrib = np.einsum("tc,cok->tok", x.data, w.data)     # (T, C_out, K)
-    data = np.zeros((t_out, c_out), dtype=contrib.dtype)
-    for j in range(k):
-        data[j : j + stride * t : stride] += contrib[:, :, j]
+    nb = -(-k // stride)
+    rows = t - 1 + nb
+    wp = np.zeros((nb * stride, c_in, c_out), dtype=w.dtype)
+    wp[:k] = w.data.transpose(2, 0, 1)
+    wb = wp.reshape(nb, stride, c_in, c_out).transpose(0, 2, 1, 3).reshape(nb, c_in, stride * c_out)
+    ob = np.zeros((rows, stride * c_out), dtype=np.result_type(x.data, w.data))
+    _shift_add(ob, x.data, wb)
+    data = ob.reshape(rows * stride, c_out)[:t_out]
     if b is not None:
         data = data + b.data
 
     def bwd(g):
-        win_idx = (np.arange(t)[:, None] * stride + np.arange(k)[None, :])
-        gwin = g[win_idx]                                  # (T, K, C_out)
-        gx = np.einsum("tko,cok->tc", gwin, w.data)
-        gw = np.einsum("tc,tko->cok", x.data, gwin)
+        gb = np.zeros((rows * stride, c_out), dtype=g.dtype)
+        gb[:t_out] = g
+        gb = gb.reshape(rows, stride * c_out)
+        gx = _shift_sum(gb, wb.transpose(0, 2, 1), t)
+        gw = _shift_outer(gb, x.data, nb).reshape(nb, stride, c_out, c_in)
+        gw = gw.transpose(3, 2, 0, 1).reshape(c_in, c_out, nb * stride)[:, :, :k]
         if b is not None:
             return gx, gw, g.sum(axis=0)
         return gx, gw

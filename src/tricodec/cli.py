@@ -201,6 +201,12 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     codec = Codec.load(args.ckpt)
     stream = load_tokens(args.tokens)
+    want = (codec.config.quantizer.codebook_size, codec.config.tokens_per_second)
+    if (stream.codebook_size, stream.frame_rate) != want:
+        raise TokenStreamError(
+            f"{args.tokens}: codebook size {stream.codebook_size} at {stream.frame_rate} tokens/s, "
+            f"but the checkpoint decodes codebook size {want[0]} at {want[1]} tokens/s"
+        )
     clip = codec.decode_tokens(stream)
     save_wav(args.out, clip)
     print(f"wrote {len(clip)} samples to {args.out}")

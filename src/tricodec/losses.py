@@ -83,7 +83,6 @@ def sample_mask(T: int, spec: MaskSpec, rng: np.random.Generator) -> MaskSet:
 class ContrastiveConfig:
     n_distractors: int = 100
     temperature: float = 0.1
-    divide_by_count: bool = False  # use the distractor count itself as the divisor
 
     def __post_init__(self):
         if self.n_distractors < 1:
@@ -119,8 +118,7 @@ def contrastive_loss(
     q_m = reshape(gather_rows(q, idx), (m, 1, q.shape[1]))
     c_cand = reshape(gather_rows(c, cand.reshape(-1)), (m, k + 1, c.shape[1]))
     sims = cosine_similarity(q_m, c_cand, axis=-1)           # (m, k+1)
-    divisor = float(k) if cfg.divide_by_count else cfg.temperature
-    logits = div(sims, Tensor(np.asarray(divisor, dtype=q.dtype)))
+    logits = div(sims, Tensor(np.asarray(cfg.temperature, dtype=q.dtype)))
     per_step = sub(logsumexp(logits, axis=-1), logits[:, 0])
     return tmean(per_step)
 

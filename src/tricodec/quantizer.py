@@ -271,4 +271,7 @@ def load_tokens(path) -> TokenStream:
     if len(payload) != 2 * count:
         raise TokenStreamError(f"{path}: expected {count} ids, payload holds {len(payload) // 2}")
     ids = np.frombuffer(payload, dtype="<u2").astype(np.int64)
-    return TokenStream(ids=ids, frame_rate=frame_rate, source_sample_rate=rate, codebook_size=book)
+    try:
+        return TokenStream(ids=ids, frame_rate=frame_rate, source_sample_rate=rate, codebook_size=book)
+    except ValueError as e:
+        raise TokenStreamError(f"{path}: {e}") from e

@@ -1,6 +1,7 @@
 """Gradient and shape contracts for the reverse-mode tensor core."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -466,6 +467,108 @@ def test_conv1d_transpose_grad_x_and_w():
 
     rep = grad_check(fw, Tensor(rand(rng, 2, 3, 4)))
     assert rep.passed, str(rep)
+
+
+# per-tap reference loops for both conv ops, over a grid of strides, kernel
+# sizes on each side of the stride, short inputs and asymmetric padding
+
+def conv_grid(s):
+    for k in sorted({1, max(1, s - 1), s, 2 * s, 2 * s + 1}):
+        for t in (1, 2, 7):
+            yield k, t
+
+
+def conv1d_reference(x, w, b, stride, pad):
+    xp = np.pad(x, (pad, (0, 0)))
+    k = w.shape[2]
+    out = np.tile(b, ((xp.shape[0] - k) // stride + 1, 1))
+    for i in range(out.shape[0]):
+        for j in range(k):
+            out[i] += xp[stride * i + j] @ w[:, :, j].T
+    return out
+
+
+def conv1d_transpose_reference(x, w, b, stride):
+    k = w.shape[2]
+    out = np.tile(b, ((x.shape[0] - 1) * stride + k, 1))
+    for i in range(x.shape[0]):
+        for j in range(k):
+            out[stride * i + j] += x[i] @ w[:, :, j]
+    return out
+
+
+def conv_pads(k):
+    return [(k // 2 + 1, k - 1 - k // 2), (0, k)]
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_conv1d_matches_per_tap_reference(s):
+    rng = np.random.default_rng(40 + s)
+    for k, t in conv_grid(s):
+        for pad in conv_pads(k):
+            x, w, b = rand(rng, t, 3), rand(rng, 2, 3, k), rand(rng, 2)
+            got = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=s, padding=pad).data
+            want = conv1d_reference(x, w, b, s, pad)
+            assert got.shape == want.shape, (s, k, t, pad)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (s, k, t, pad)
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_conv1d_transpose_matches_per_tap_reference(s):
+    rng = np.random.default_rng(50 + s)
+    for k, t in conv_grid(s):
+        x, w, b = rand(rng, t, 3), rand(rng, 3, 2, k), rand(rng, 2)
+        got = conv1d_transpose(Tensor(x), Tensor(w), Tensor(b), stride=s).data
+        want = conv1d_transpose_reference(x, w, b, s)
+        assert got.shape == want.shape, (s, k, t)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (s, k, t)
+
+
+def grad_check_each_operand(op, args, out_shape, rng, **kw):
+    """grad_check a linear read-out of op(*args) in each operand in turn."""
+    weights = Tensor(rand(rng, *out_shape))
+    for i, arg in enumerate(args):
+        def f(v, i=i):
+            operands = [Tensor(a) for a in args]
+            operands[i] = v
+            return tsum(mul(op(*operands, **kw), weights))
+
+        rep = grad_check(f, Tensor(arg))
+        assert rep.passed, f"operand {i}, {kw}: {rep}"
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_conv1d_grad_check_grid(s):
+    rng = np.random.default_rng(60 + s)
+    for k, t in conv_grid(s):
+        for pad in conv_pads(k):
+            t_out = (t + pad[0] + pad[1] - k) // s + 1
+            args = (rand(rng, t, 3), rand(rng, 2, 3, k), rand(rng, 2))
+            grad_check_each_operand(conv1d, args, (t_out, 2), rng, stride=s, padding=pad)
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_conv1d_transpose_grad_check_grid(s):
+    rng = np.random.default_rng(70 + s)
+    for k, t in conv_grid(s):
+        args = (rand(rng, t, 3), rand(rng, 3, 2, k), rand(rng, 2))
+        grad_check_each_operand(conv1d_transpose, args, ((t - 1) * s + k, 2), rng, stride=s)
+
+
+def test_conv1d_builds_no_window_array():
+    # a (T, K, C_in) im2col array would be 7x the input; the op may hold a
+    # padded copy of the input plus a few output-sized buffers
+    rng = np.random.default_rng(80)
+    x = Tensor(rand(rng, 20000, 16))
+    w = Tensor(rand(rng, 1, 16, 7), requires_grad=True)
+    b = Tensor(rand(rng, 1))
+    tracemalloc.start()
+    try:
+        out = conv1d(x, w, b, stride=1, padding=(3, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (x.data.nbytes + out.data.nbytes)
 
 
 def test_rope_attention_grad():

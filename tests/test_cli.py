@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tricodec.cli import ConfigError, _stage_config_from, load_train_config, main
-from tricodec.quantizer import load_tokens
+from tricodec.quantizer import TokenStream, load_tokens, save_tokens
 from tricodec.signal import load_wav
 
 
@@ -274,6 +274,18 @@ def test_decode_garbage_tokens_categorized(workdir, capsys):
     ckpt = str(workdir / "run_a" / "ckpt_final.tckp")
     assert main(["decode", "--ckpt", ckpt, "--out", "/tmp/x.wav", str(bad)]) == 3
     assert capsys.readouterr().err.startswith("error: category=token-format:")
+
+
+@pytest.mark.parametrize("book, rate", [(16384, 75), (512, 50)])
+def test_decode_tokens_from_another_codec_categorized(workdir, capsys, book, rate):
+    # the toy checkpoint decodes a 512-entry book at 75 tokens/s
+    tokens = workdir / f"foreign_{book}_{rate}.uctk"
+    save_tokens(tokens, TokenStream(np.array([3, 600 % book]), frame_rate=rate, codebook_size=book))
+    ckpt = str(workdir / "run_a" / "ckpt_final.tckp")
+    out_wav = workdir / f"foreign_{book}_{rate}.wav"
+    assert main(["decode", "--ckpt", ckpt, "--out", str(out_wav), str(tokens)]) == 3
+    assert capsys.readouterr().err.startswith("error: category=token-format:")
+    assert not out_wav.exists()
 
 
 def test_bad_checkpoint_categorized(workdir, capsys):

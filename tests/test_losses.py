@@ -147,38 +147,6 @@ def test_contrastive_requires_enough_masked_steps():
     assert "longer inputs or fewer distractors" in str(e.value)
 
 
-def test_contrastive_divide_by_count_option():
-    rng = np.random.default_rng(7)
-    t, h, k = 8, 4, 3
-    q = rng.standard_normal((t, h))
-    c = rng.standard_normal((t, h))
-    ms = make_mask(t, np.arange(t))
-    a = float(
-        contrastive_loss(
-            Tensor(q), Tensor(c), ms,
-            ContrastiveConfig(n_distractors=k, temperature=3.0, divide_by_count=False),
-            np.random.default_rng(1),
-        ).data
-    )
-    b = float(
-        contrastive_loss(
-            Tensor(q), Tensor(c), ms,
-            ContrastiveConfig(n_distractors=k, divide_by_count=True),
-            np.random.default_rng(1),
-        ).data
-    )
-    # divisor is the distractor count itself, here 3, ignoring temperature
-    assert abs(a - b) < 1e-12
-    c_ = float(
-        contrastive_loss(
-            Tensor(q), Tensor(c), ms,
-            ContrastiveConfig(n_distractors=k, temperature=0.1),
-            np.random.default_rng(1),
-        ).data
-    )
-    assert abs(a - c_) > 1e-6
-
-
 def test_contrastive_grad_wrt_q():
     rng = np.random.default_rng(8)
     t, h = 10, 6

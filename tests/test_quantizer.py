@@ -1,5 +1,7 @@
 """Partitioned-codebook nearest-neighbor quantization and token streams."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,14 @@ def test_token_truncation_and_trailing(tmp_path):
         load_tokens(p)
     p.write_bytes(raw + b"xx")
     with pytest.raises(TokenStreamError):
+        load_tokens(p)
+
+
+def test_token_id_outside_book_is_token_stream_error(tmp_path):
+    p = tmp_path / "t.uctk"
+    header = b"UCTK" + struct.pack("<IIIIQ", 1, 24000, 75, 100, 2)
+    p.write_bytes(header + np.array([3, 200], dtype="<u2").tobytes())
+    with pytest.raises(TokenStreamError, match="out of range"):
         load_tokens(p)
 
 
