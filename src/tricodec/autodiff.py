@@ -35,7 +35,6 @@ __all__ = [
     "AutodiffError",
     "ShapeError",
     "NonFiniteError",
-    "tensor",
     "backward",
     "grad_check",
     "GradCheckReport",
@@ -130,12 +129,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return stop_gradient(self)
-
     def zero_grad(self):
         self.grad = None
 
@@ -185,11 +178,6 @@ class Tensor:
 
     def transpose(self, *axes):
         return transpose(self, axes if axes else None)
-
-
-def tensor(data, requires_grad: bool = False, dtype=None, name: Optional[str] = None) -> Tensor:
-    arr = np.asarray(data, dtype=dtype) if dtype is not None else np.asarray(data)
-    return Tensor(arr, requires_grad=requires_grad, name=name)
 
 
 def _as_tensor(x, dtype) -> Tensor:

@@ -53,19 +53,14 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # training config files (JSON, documented key set)
 
-def _scalar_fields(cls, skip=()) -> dict:
+def _scalar_fields(cls) -> dict:
     """``{field name: type}`` for the int, float and bool fields of a config
     dataclass, so the file schema follows the dataclass."""
     hints = get_type_hints(cls)
-    return {
-        f.name: hints[f.name]
-        for f in fields(cls)
-        if hints[f.name] in (int, float, bool) and f.name not in skip
-    }
+    return {f.name: hints[f.name] for f in fields(cls) if hints[f.name] in (int, float, bool)}
 
 
-# the stage name decides masking and the contrastive term
-_STAGE_KEYS = _scalar_fields(StageConfig, skip=("enable_mask", "enable_contrastive"))
+_STAGE_KEYS = _scalar_fields(StageConfig)
 _TOP_KEYS = {
     "stage": str,
     "manifest": str,

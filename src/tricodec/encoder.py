@@ -64,7 +64,6 @@ class EncoderConfig:
     hidden: int = 512
     layers: int = 8
     heads: int = 8
-    mlp_dim: int = 2048
     moe: MoEConfig = field(default_factory=MoEConfig)
 
     def __post_init__(self):

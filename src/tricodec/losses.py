@@ -37,7 +37,6 @@ __all__ = [
     "sample_mask",
     "contrastive_loss",
     "reconstruction_terms",
-    "reconstruction_loss",
     "mel_distance",
     "stft_distance",
 ]
@@ -178,15 +177,6 @@ def reconstruction_terms(x, xhat, sample_rate: int = 24000, mel_cfg: MelConfig =
         return time_l1, Tensor(np.zeros((), dtype=xt.dtype))
     mel_l1 = tmean(tabs(sub(_mel_tensor(xt, sample_rate, mel_cfg), _mel_tensor(yt, sample_rate, mel_cfg))))
     return time_l1, mel_l1
-
-
-def reconstruction_loss(
-    x, xhat, lam_mel: float = 45.0, sample_rate: int = 24000, mel_cfg: MelConfig = DEFAULT_MEL
-) -> Tensor:
-    """time L1 + lam_mel * mel L1."""
-    time_l1, mel_l1 = reconstruction_terms(x, xhat, sample_rate, mel_cfg)
-    lam = Tensor(np.asarray(lam_mel, dtype=time_l1.dtype))
-    return add(time_l1, mul(lam, mel_l1))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,14 @@ import numpy as np
 from . import checkpoint as ckpt
 from .autodiff import Tensor, no_grad
 from .decoder import DecoderConfig, decode, init_decoder_params
-from .encoder import EncoderConfig, MoEConfig, conv_encode, encode_frames, init_encoder_params
+from .encoder import EncoderConfig, MoEConfig, encode_frames, init_encoder_params
 from .quantizer import QuantizerConfig, TokenStream, init_quantizer_params, quantize, simvq_embed
 from .signal import AudioClip, Domain
 
 __all__ = ["CodecConfig", "Codec"]
+
+# encoder and quantizer config keys of removed options, ignored on load
+_REMOVED_KEYS = ("mlp_dim", "base_mean", "base_std")
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,6 @@ class CodecConfig:
                 hidden=64,
                 layers=2,
                 heads=4,
-                mlp_dim=256,
                 moe=MoEConfig(n_shared=1, n_routed=3, k_routed=1, expert_dim=128),
             ),
             quantizer=QuantizerConfig(codebook_size=512, hidden=64, speech_end=128, music_end=256),
@@ -76,14 +78,18 @@ class CodecConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodecConfig":
+        """Inverse of ``to_dict``. Keys of since-removed options, which older
+        checkpoints still carry, are dropped."""
         d = dict(d)
-        enc = dict(d.pop("encoder"))
+        enc = {k: v for k, v in d.pop("encoder").items() if k not in _REMOVED_KEYS}
         moe = MoEConfig(**enc.pop("moe"))
         return cls(
             encoder=EncoderConfig(
                 **{k: tuple(v) if isinstance(v, list) else v for k, v in enc.items()}, moe=moe
             ),
-            quantizer=QuantizerConfig(**d.pop("quantizer")),
+            quantizer=QuantizerConfig(
+                **{k: v for k, v in d.pop("quantizer").items() if k not in _REMOVED_KEYS}
+            ),
             decoder=DecoderConfig(
                 **{k: tuple(v) if isinstance(v, list) else v for k, v in dict(d.pop("decoder")).items()}
             ),
@@ -146,9 +152,6 @@ class Codec:
     def decode_frames(self, quantized: Tensor) -> Tensor:
         return decode(quantized, self.params, self.config.decoder)
 
-    def conv_features(self, samples) -> Tensor:
-        return conv_encode(samples, self.params, self.config.encoder)
-
     @no_grad()
     def encode(self, clip: AudioClip, domain: Optional[Domain] = None) -> TokenStream:
         """Clip (already at the codec rate) -> token stream."""
@@ -188,9 +191,16 @@ class Codec:
         arrays = ckpt.load_tensors(path)
         if "meta/config_json" not in arrays:
             raise ckpt.CheckpointError(f"{path}: checkpoint lacks an embedded model config")
-        config = CodecConfig.from_dict(json.loads(arrays["meta/config_json"].tobytes().decode("utf-8")))
+        try:
+            config = CodecConfig.from_dict(json.loads(arrays["meta/config_json"].tobytes().decode("utf-8")))
+        except KeyError as e:
+            raise ckpt.CheckpointError(f"{path}: embedded model config lacks key {e}") from None
+        except (ValueError, TypeError, AttributeError) as e:  # includes bad UTF-8 and bad JSON
+            raise ckpt.CheckpointError(f"{path}: embedded model config is invalid: {e}") from None
         params = {
             k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")
         }
+        if "enc.conv0.w" not in params:
+            raise ckpt.CheckpointError(f"{path}: checkpoint lacks tensor 'param/enc.conv0.w'")
         dtype = params["enc.conv0.w"].dtype
         return cls(config, dtype=dtype, params=params)

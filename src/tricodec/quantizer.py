@@ -33,11 +33,14 @@ __all__ = [
     "utilization",
     "save_tokens",
     "load_tokens",
-    "region_of_id",
 ]
 
 TOKEN_MAGIC = b"UCTK"
 TOKEN_VERSION = 1
+
+# frozen base rows: a shared mean of this norm plus i.i.d. noise of this std
+BASE_MEAN = 4.0
+BASE_STD = 1.0
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,6 @@ class QuantizerConfig:
     hidden: int = 512
     speech_end: int = 4096
     music_end: int = 8192
-    base_std: float = 1.0
-    base_mean: float = 4.0
 
     def __post_init__(self):
         if not (0 < self.speech_end < self.music_end < self.codebook_size):
@@ -55,10 +56,6 @@ class QuantizerConfig:
                 f"region boundaries must satisfy 0 < {self.speech_end} < "
                 f"{self.music_end} < {self.codebook_size}"
             )
-        if self.base_std <= 0:
-            raise ValueError(f"base_std must be positive, got {self.base_std}")
-        if self.base_mean < 0:
-            raise ValueError(f"base_mean must be nonnegative, got {self.base_mean}")
 
     def region(self, domain: Domain) -> tuple:
         """Half-open index range [start, end) for a domain."""
@@ -67,16 +64,6 @@ class QuantizerConfig:
         if domain == Domain.MUSIC:
             return (self.speech_end, self.music_end)
         return (self.music_end, self.codebook_size)
-
-
-def region_of_id(cfg: QuantizerConfig, idx: int) -> Domain:
-    if not 0 <= idx < cfg.codebook_size:
-        raise IndexError(f"id {idx} outside codebook [0, {cfg.codebook_size})")
-    if idx < cfg.speech_end:
-        return Domain.SPEECH
-    if idx < cfg.music_end:
-        return Domain.MUSIC
-    return Domain.SOUND
 
 
 @dataclass
@@ -103,20 +90,20 @@ class TokenStream:
 
 
 def init_quantizer_params(cfg: QuantizerConfig, rng: np.random.Generator, dtype=np.float64) -> dict:
-    """Base embeddings are Gaussian with a shared mean of norm ``base_mean``
+    """Base embeddings are Gaussian with a shared mean of norm ``BASE_MEAN``
     (along a direction drawn once per init) plus i.i.d. noise of std
-    ``base_std``; they stay frozen. The projection starts at identity so
+    ``BASE_STD``; they stay frozen. The projection starts at identity so
     initial codewords equal the base rows.
 
     Every selected codeword's projection gradient has a component along the
     shared mean, so projection @ mean acts as a global codeword offset that
     coherent updates shift as a whole. The offset does not keep entries in
     use by itself: the toy acoustic run ends on about five codewords per
-    clip with it and about four with ``base_mean=0``. How many entries a
+    clip with it and about four with a zero mean. How many entries a
     clip uses follows how spread the encoder keeps its frames."""
     direction = rng.normal(0.0, 1.0, cfg.hidden)
     direction /= np.linalg.norm(direction)
-    base = cfg.base_mean * direction + rng.normal(0.0, cfg.base_std, (cfg.codebook_size, cfg.hidden))
+    base = BASE_MEAN * direction + rng.normal(0.0, BASE_STD, (cfg.codebook_size, cfg.hidden))
     return {
         "vq.base": base.astype(dtype),
         "vq.proj": np.eye(cfg.hidden).astype(dtype),
@@ -220,10 +207,10 @@ def alignment_loss(frames: Tensor, codewords: Tensor) -> Tensor:
     the emitted ids), not the straight-through quantized frames, so the
     gradient reaches only the projection. Pulling selected codewords toward
     the frames they serve drags the whole projected book toward the
-    encoder's frame cloud. It does not keep entries in use: the toy acoustic
-    run with ``lam_align=0`` and ``beta_commit=0`` uses no fewer codewords
-    per clip than with both, since the count follows how spread the encoder
-    keeps its frames."""
+    encoder's frame cloud. It does not keep entries in use: a toy acoustic
+    run with both this term and the commitment term dropped uses no fewer
+    codewords per clip than with both, since the count follows how spread
+    the encoder keeps its frames. Training adds it at unit weight."""
     diff = sub(codewords, stop_gradient(frames))
     return tmean(tsum(mul(diff, diff), axis=-1))
 
@@ -232,7 +219,7 @@ def utilization(streams: Sequence[TokenStream], cfg: QuantizerConfig, domain: Op
     """Distinct ids observed divided by region size (whole book if no domain)."""
     if not streams:
         raise ValueError("utilization requires at least one token stream")
-    all_ids = np.concatenate([s.ids for s in streams]) if streams else np.empty(0, np.int64)
+    all_ids = np.concatenate([s.ids for s in streams])
     lo, hi = (0, cfg.codebook_size) if domain is None else cfg.region(domain)
     in_region = all_ids[(all_ids >= lo) & (all_ids < hi)]
     return len(np.unique(in_region)) / (hi - lo)

@@ -87,28 +87,20 @@ class AudioClip:
     def __len__(self):
         return len(self.samples)
 
-    def peak_normalized(self, peak: float = 0.95) -> "AudioClip":
-        m = np.max(np.abs(self.samples))
-        scaled = self.samples * (peak / m) if m > 0 else self.samples
-        return replace(self, samples=scaled)
-
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis settings: frames lie fully inside the signal (no padding), so
-    frame count = floor((len - fft_size) / hop) + 1."""
+    """Analysis settings: Hann-windowed frames lie fully inside the signal
+    (no padding), so frame count = floor((len - fft_size) / hop) + 1."""
 
     fft_size: int = 1024
     hop: int = 256
-    window: str = "hann"
 
     def __post_init__(self):
         if self.fft_size < 2 or (self.fft_size & (self.fft_size - 1)) != 0:
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
         if not (0 < self.hop <= self.fft_size):
             raise ValueError(f"hop must be in (0, fft_size], got {self.hop}")
-        if self.window not in ("hann", "rect"):
-            raise ValueError(f"unknown window '{self.window}' (expected 'hann' or 'rect')")
 
 
 @dataclass(frozen=True)
@@ -148,8 +140,8 @@ class WavUnsupportedError(WavError):
 def load_wav(path) -> AudioClip:
     """Read a RIFF/WAVE file into a mono AudioClip.
 
-    PCM16 samples are scaled by 1/32768; float32 is clipped to [-1, 1];
-    multichannel input is averaged to mono.
+    PCM16 samples are scaled by 1/32768; float32 is clipped to [-1, 1]
+    and must be finite; multichannel input is averaged to mono.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -184,17 +176,23 @@ def load_wav(path) -> AudioClip:
     audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if channels < 1:
         raise WavParseError(f"{path}: fmt chunk declares {channels} channels")
-    if audio_format == 1 and bits == 16:
-        frames = np.frombuffer(data, dtype="<i2")
-        samples = frames.astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        frames = np.frombuffer(data, dtype="<f4")
-        samples = np.clip(frames.astype(np.float64), -1.0, 1.0)
-    else:
+    if sample_rate == 0:
+        raise WavParseError(f"{path}: fmt chunk declares a sample rate of 0")
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise WavUnsupportedError(
             f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit); "
             f"only 16-bit PCM and 32-bit IEEE float are readable"
         )
+    if len(data) % (bits // 8):
+        raise WavParseError(f"{path}: data chunk of {len(data)} bytes is not whole {bits}-bit samples")
+    if audio_format == 1:
+        frames = np.frombuffer(data, dtype="<i2")
+        samples = frames.astype(np.float64) / 32768.0
+    else:
+        frames = np.frombuffer(data, dtype="<f4")
+        if not np.all(np.isfinite(frames)):
+            raise WavParseError(f"{path}: data chunk holds NaN or Inf samples")
+        samples = np.clip(frames.astype(np.float64), -1.0, 1.0)
 
     if channels > 1:
         usable = (len(samples) // channels) * channels
@@ -314,9 +312,7 @@ def stft_magnitude(clip: AudioClip, cfg: StftConfig = DEFAULT_STFT) -> np.ndarra
 
     Frames lie fully inside the signal: n_frames = floor((len - fft)/hop) + 1.
     """
-    frames = _frame(clip.samples, cfg.fft_size, cfg.hop)
-    if cfg.window == "hann":
-        frames = frames * np.hanning(cfg.fft_size)
+    frames = _frame(clip.samples, cfg.fft_size, cfg.hop) * np.hanning(cfg.fft_size)
     return np.abs(np.fft.rfft(frames, axis=1)).T
 
 

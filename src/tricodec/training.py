@@ -81,11 +81,6 @@ class StageConfig:
     lam_mel: float = 45.0
     lam_c: float = 1.0
     beta_commit: float = 0.25
-    lam_align: float = 1.0
-    freeze_encoder_steps: int = 0
-    warm_start: bool = True
-    enable_mask: bool = False
-    enable_contrastive: bool = False
     mask: MaskSpec = field(default_factory=MaskSpec)
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
     max_clip_seconds: float = 10.0
@@ -95,17 +90,8 @@ class StageConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
-        if self.freeze_encoder_steps < 0:
-            raise ValueError("freeze_encoder_steps must be >= 0")
-        if self.stage == Stage.ACOUSTIC and (self.enable_mask or self.enable_contrastive):
-            raise ValueError("acoustic stage must run without masking or contrastive loss")
-        if self.stage == Stage.SEMANTIC and not (self.enable_mask and self.enable_contrastive):
-            raise ValueError("semantic stage requires enable_mask and enable_contrastive")
-        if self.stage == Stage.FINETUNE:
-            if self.enable_mask or self.enable_contrastive:
-                raise ValueError("finetune stage must run without masking or contrastive loss")
-            if self.lam_mel != 450.0 or self.lr != 5e-5:
-                raise ValueError("finetune stage is pinned to lam_mel=450 and lr=5e-5")
+        if self.stage == Stage.FINETUNE and (self.lam_mel != 450.0 or self.lr != 5e-5):
+            raise ValueError("finetune stage is pinned to lam_mel=450 and lr=5e-5")
 
     @classmethod
     def acoustic(cls, **kw) -> "StageConfig":
@@ -113,8 +99,6 @@ class StageConfig:
 
     @classmethod
     def semantic(cls, **kw) -> "StageConfig":
-        kw.setdefault("enable_mask", True)
-        kw.setdefault("enable_contrastive", True)
         return cls(stage=Stage.SEMANTIC, **kw)
 
     @classmethod
@@ -147,16 +131,12 @@ class AdamW:
         self.m = {k: np.zeros_like(v.data) for k, v in self.params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in self.params.items()}
 
-    def step(self, lr: float, freeze: tuple = ()) -> None:
-        """Apply one update; parameters whose name starts with a prefix in
-        ``freeze`` are left entirely untouched (no moments, no decay)."""
+    def step(self, lr: float) -> None:
         self.t += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in self.params.items():
-            if freeze and name.startswith(freeze):
-                continue
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
@@ -246,13 +226,15 @@ def _truncate(clip: AudioClip, max_seconds: float, downsample: int) -> np.ndarra
 
 def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.random.Generator) -> dict:
     """Forward pass and loss terms for one clip. Quantization is restricted
-    to the clip's domain region (training always has domain labels)."""
+    to the clip's domain region (training always has domain labels). Only
+    the semantic stage masks frames and adds the contrastive term."""
     if clip.domain is None:
         raise TrainingError("training clips must carry a domain label")
     x = _truncate(clip, cfg.max_clip_seconds, codec.config.downsample).astype(codec.dtype)
+    semantic = cfg.stage is Stage.SEMANTIC
 
     maskset = None
-    if cfg.enable_mask:
+    if semantic:
         n_frames = len(x) // codec.config.downsample
         maskset = sample_mask(n_frames, cfg.mask, rng)
 
@@ -263,10 +245,7 @@ def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.rand
     time_l1, mel_l1 = reconstruction_terms(Tensor(x), wave, sample_rate=codec.config.sample_rate)
     recon = add(time_l1, mul(Tensor(np.asarray(cfg.lam_mel, dtype=codec.dtype)), mel_l1))
     commit = commitment_loss(frames, quantized, beta=cfg.beta_commit)
-    align = mul(
-        Tensor(np.asarray(cfg.lam_align, dtype=codec.dtype)),
-        alignment_loss(frames, simvq_embed(stream.ids, codec.params)),
-    )
+    align = alignment_loss(frames, simvq_embed(stream.ids, codec.params))
     total = add(recon, add(commit, align))
 
     terms = {
@@ -276,7 +255,7 @@ def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.rand
         "commit": commit,
         "align": align,
     }
-    if cfg.enable_contrastive:
+    if semantic:
         k_eff = min(cfg.contrastive.n_distractors, maskset.count - 1)
         if k_eff < 1:
             raise TrainingError(
@@ -422,8 +401,7 @@ def train_stage(
         if model_config is None:
             raise TrainingError("fresh training requires a model config")
         codec = Codec(model_config, seed=cfg.seed)
-        if cfg.warm_start:
-            _warm_start_projection(codec, clips, cfg)
+        _warm_start_projection(codec, clips, cfg)
 
     if cfg.stage in (Stage.SEMANTIC, Stage.FINETUNE) and init_from is not None:
         if stage_done < Stage.ACOUSTIC.value:
@@ -460,10 +438,7 @@ def train_stage(
                 if not np.isfinite(batch_loss.data):
                     raise NonFiniteError("batch loss is not finite")
                 backward(batch_loss)
-                # early hold on the analysis side lets the synthesis side learn
-                # to exploit a still-diverse frame cloud before both move jointly
-                frozen = ("enc.",) if step < cfg.freeze_encoder_steps else ()
-                opt.step(lr_t, freeze=frozen)
+                opt.step(lr_t)
             except NonFiniteError as e:
                 raise DivergenceError(
                     f"training diverged at step {step}: {e}; last good checkpoint: "

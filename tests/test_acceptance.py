@@ -259,7 +259,7 @@ def test_a5_gradient_integrity():
 
     # (a) one full transformer block with MoE feed-forward
     enc_cfg = EncoderConfig(
-        strides=(2, 2), conv_channels=(4, 8), hidden=8, layers=1, heads=2, mlp_dim=16,
+        strides=(2, 2), conv_channels=(4, 8), hidden=8, layers=1, heads=2,
         moe=MoEConfig(n_shared=1, n_routed=2, k_routed=1, expert_dim=8),
     )
     from tricodec.encoder import init_encoder_params

@@ -2,11 +2,14 @@
 eval reports, and the categorized error surface."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tricodec.cli import ConfigError, _stage_config_from, load_train_config, main
+from tricodec.checkpoint import load_tensors, save_tensors
+from tricodec.cli import _STAGE_KEYS, ConfigError, _stage_config_from, load_train_config, main
 from tricodec.quantizer import TokenStream, load_tokens, save_tokens
 from tricodec.signal import load_wav
 
@@ -123,14 +126,32 @@ def test_config_bad_model(tmp_path):
 
 
 def test_config_documented_stage_keys_reach_stage_config(tmp_path):
-    cfg = base_cfg(warm_start=False, lam_align=0.5, freeze_encoder_steps=3,
+    cfg = base_cfg(beta_commit=0.5, log_every=3,
                    mask={"p": 0.2}, contrastive={"temperature": 0.5})
     raw = load_train_config(write_cfg(tmp_path, cfg))
     stage = _stage_config_from(raw)
-    assert stage.warm_start is False
-    assert stage.lam_align == 0.5
-    assert stage.freeze_encoder_steps == 3
+    assert stage.beta_commit == 0.5
+    assert stage.log_every == 3
     assert stage.mask.p == 0.2 and stage.contrastive.temperature == 0.5
+
+
+def test_readme_lists_exactly_the_stage_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config keys", 1)[1]
+    paragraph = section.split("Stage configs accept:", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`(\w+)`", paragraph)) == set(_STAGE_KEYS)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("lam_align", 0.5), ("warm_start", False), ("freeze_encoder_steps", 3), ("enable_mask", True)],
+)
+def test_train_removed_recipe_key_fails(tmp_path, capsys, key, value):
+    p = write_cfg(tmp_path, base_cfg(**{key: value}))
+    assert main(["train", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: category=config:")
+    assert f"'{key}'" in err
 
 
 def test_config_invalid_json(tmp_path):
@@ -294,6 +315,36 @@ def test_bad_checkpoint_categorized(workdir, capsys):
     wav = str(workdir / "data" / "speech_000.wav")
     assert main(["encode", "--ckpt", str(bad), "--out", "/tmp/x.uctk", wav]) == 3
     assert capsys.readouterr().err.startswith("error: category=checkpoint-format:")
+
+
+@pytest.mark.parametrize(
+    "variant", ["not-utf8", "not-json", "no-encoder", "no-quantizer", "no-decoder",
+                "unknown-key", "no-conv0"],
+)
+def test_decode_doctored_checkpoint_categorized(workdir, capsys, variant):
+    arrays = load_tensors(workdir / "run_a" / "ckpt_final.tckp")
+    cfg = json.loads(arrays["meta/config_json"].tobytes())
+    if variant == "not-utf8":
+        raw = b"\xff\xfe" + arrays["meta/config_json"].tobytes()
+    elif variant == "not-json":
+        raw = b"{not json"
+    elif variant == "unknown-key":
+        raw = json.dumps({**cfg, "mystery": 1}).encode()
+    elif variant.startswith("no-") and variant != "no-conv0":
+        del cfg[variant[3:]]
+        raw = json.dumps(cfg).encode()
+    else:
+        raw = arrays["meta/config_json"].tobytes()
+        del arrays["param/enc.conv0.w"]
+    arrays["meta/config_json"] = np.frombuffer(raw, dtype=np.uint8)
+    bad = workdir / f"doctored_{variant}.tckp"
+    save_tensors(bad, arrays)
+    tokens = workdir / "doctored.uctk"
+    save_tokens(tokens, TokenStream(np.array([1, 2, 3]), codebook_size=512))
+    out_wav = workdir / f"doctored_{variant}.wav"
+    assert main(["decode", "--ckpt", str(bad), "--out", str(out_wav), str(tokens)]) == 3
+    assert capsys.readouterr().err.startswith("error: category=checkpoint-format:")
+    assert not out_wav.exists()
 
 
 def test_error_line_is_single_and_machine_parseable(workdir, capsys):

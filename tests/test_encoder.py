@@ -24,7 +24,6 @@ CFG = EncoderConfig(
     hidden=16,
     layers=1,
     heads=2,
-    mlp_dim=32,
     moe=MoEConfig(n_shared=1, n_routed=3, k_routed=1, expert_dim=16),
 )
 
@@ -82,7 +81,7 @@ def test_moe_oracle_across_expert_counts():
     rng = np.random.default_rng(2)
     for n_r, k_r, n_s in [(2, 1, 0), (4, 2, 1), (6, 3, 2), (3, 3, 1)]:
         cfg = EncoderConfig(
-            strides=(2,), conv_channels=(8,), hidden=8, layers=1, heads=2, mlp_dim=16,
+            strides=(2,), conv_channels=(8,), hidden=8, layers=1, heads=2,
             moe=MoEConfig(n_shared=n_s, n_routed=n_r, k_routed=k_r, expert_dim=8),
         )
         params = make_params(cfg, seed=n_r * 10 + k_r)

@@ -1,4 +1,4 @@
-"""Span masking, masked-contrastive loss, reconstruction loss, and metrics."""
+"""Span masking, masked-contrastive loss, reconstruction terms, and metrics."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,13 @@ from tricodec.losses import (
     MaskSpec,
     contrastive_loss,
     mel_distance,
-    reconstruction_loss,
     reconstruction_terms,
     sample_mask,
     stft_distance,
 )
-from tricodec.signal import AudioClip, MelConfig, mel_spectrogram
+from tricodec.model import Codec, CodecConfig
+from tricodec.signal import AudioClip, Domain, MelConfig, mel_spectrogram
+from tricodec.training import StageConfig, dataset_recon_loss
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +176,8 @@ def test_contrastive_config_validation():
 def test_reconstruction_identical_is_zero():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(4096) * 0.2
-    val = float(reconstruction_loss(x, Tensor(x.copy())).data)
-    assert val == 0.0
+    time_l1, mel_l1 = reconstruction_terms(x, Tensor(x.copy()))
+    assert float(time_l1.data) == 0.0 and float(mel_l1.data) == 0.0
 
 
 def test_reconstruction_constant_offset_time_term():
@@ -188,12 +189,15 @@ def test_reconstruction_constant_offset_time_term():
 
 
 def test_reconstruction_lam_mel_scales_mel_term():
+    # training's reconstruction loss is time L1 + the stage's lam_mel * mel L1
+    codec = Codec(CodecConfig.toy(), seed=3)
     rng = np.random.default_rng(11)
-    x = rng.standard_normal(2048).astype(np.float64) * 0.3
-    y = x + rng.standard_normal(2048) * 0.05
-    t1, m1 = reconstruction_terms(Tensor(x), Tensor(y))
-    l45 = float(reconstruction_loss(Tensor(x), Tensor(y), lam_mel=45.0).data)
-    l90 = float(reconstruction_loss(Tensor(x), Tensor(y), lam_mel=90.0).data)
+    clip = AudioClip(np.clip(rng.standard_normal(2560) * 0.3, -1, 1), 24000, Domain.SPEECH)
+    frames, _ = codec.encode_frames(clip.samples)
+    _, quantized = codec.quantize(frames, domain=Domain.SPEECH)
+    t1, m1 = reconstruction_terms(clip.samples, codec.decode_frames(quantized))
+    l45 = dataset_recon_loss(codec, [clip], StageConfig.acoustic(lam_mel=45.0))
+    l90 = dataset_recon_loss(codec, [clip], StageConfig.acoustic(lam_mel=90.0))
     assert abs((l90 - l45) - 45.0 * float(m1.data)) < 1e-9
     assert abs(l45 - (float(t1.data) + 45.0 * float(m1.data))) < 1e-9
 
@@ -219,8 +223,8 @@ def test_reconstruction_short_clip_skips_mel():
 def test_reconstruction_truncates_to_min_length():
     x = np.ones(3000) * 0.2
     y = np.ones(2500) * 0.2
-    val = float(reconstruction_loss(Tensor(x), Tensor(y)).data)
-    assert val == 0.0
+    time_l1, mel_l1 = reconstruction_terms(Tensor(x), Tensor(y))
+    assert float(time_l1.data) == 0.0 and float(mel_l1.data) == 0.0
 
 
 def test_reconstruction_grad_through_mel():
@@ -228,7 +232,8 @@ def test_reconstruction_grad_through_mel():
     x = Tensor(rng.standard_normal(1200) * 0.3)
 
     def f(xhat):
-        return reconstruction_loss(x, xhat, lam_mel=2.0, mel_cfg=MelConfig())
+        time_l1, mel_l1 = reconstruction_terms(x, xhat, mel_cfg=MelConfig())
+        return time_l1 + 2.0 * mel_l1
 
     # keep xhat away from xhat == x (L1 kink)
     rep = grad_check(f, Tensor(rng.standard_normal(1200) * 0.3 + 2.0))

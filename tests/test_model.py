@@ -1,5 +1,7 @@
 """Codec assembly: config plumbing, persistence, and token-level round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ def micro_config():
             hidden=8,
             layers=1,
             heads=2,
-            mlp_dim=16,
             moe=MoEConfig(n_shared=1, n_routed=2, k_routed=1, expert_dim=8),
         ),
         quantizer=QuantizerConfig(codebook_size=16, hidden=8, speech_end=4, music_end=8),
@@ -216,3 +217,22 @@ def test_decode_depends_only_on_ids():
                         codebook_size=stream.codebook_size)
     w2 = codec.decode_tokens(clone)
     assert np.array_equal(w1.samples, w2.samples)
+
+
+def test_checkpoint_with_removed_config_keys_loads(tmp_path):
+    # checkpoints written before mlp_dim, base_mean and base_std were removed
+    # still carry those keys in their embedded config
+    codec = Codec(CodecConfig.toy(), seed=5)
+    path = tmp_path / "old.tckp"
+    codec.save(path)
+    arrays = ckpt.load_tensors(path)
+    cfg = json.loads(arrays["meta/config_json"].tobytes())
+    cfg["encoder"]["mlp_dim"] = 256
+    cfg["quantizer"].update(base_mean=4.0, base_std=1.0)
+    arrays["meta/config_json"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
+    ckpt.save_tensors(path, arrays)
+
+    loaded = Codec.load(path)
+    assert loaded.config == codec.config
+    clip = tone(4800, hz=330.0)
+    assert np.array_equal(loaded.encode(clip).ids, codec.encode(clip).ids)

@@ -7,6 +7,8 @@ import pytest
 
 from tricodec.autodiff import Tensor, backward, mul, tsum
 from tricodec.quantizer import (
+    BASE_MEAN,
+    BASE_STD,
     QuantizerConfig,
     TokenStream,
     TokenStreamError,
@@ -16,7 +18,6 @@ from tricodec.quantizer import (
     init_quantizer_params,
     load_tokens,
     quantize,
-    region_of_id,
     save_tokens,
     simvq_embed,
     utilization,
@@ -152,18 +153,6 @@ def test_region_bounds():
     assert QuantizerConfig().region(Domain.SOUND) == (8192, 16384)
 
 
-def test_region_of_id():
-    assert region_of_id(CFG, 0) is Domain.SPEECH
-    assert region_of_id(CFG, 15) is Domain.SPEECH
-    assert region_of_id(CFG, 16) is Domain.MUSIC
-    assert region_of_id(CFG, 32) is Domain.SOUND
-    assert region_of_id(CFG, 63) is Domain.SOUND
-    with pytest.raises(IndexError):
-        region_of_id(CFG, 64)
-    with pytest.raises(IndexError):
-        region_of_id(CFG, -1)
-
-
 def test_config_region_validation():
     with pytest.raises(ValueError):
         QuantizerConfig(codebook_size=64, hidden=8, speech_end=32, music_end=32)
@@ -173,23 +162,14 @@ def test_config_region_validation():
         QuantizerConfig(codebook_size=64, hidden=8, speech_end=16, music_end=64)
 
 
-def test_config_base_distribution_validation():
-    with pytest.raises(ValueError, match="base_std"):
-        QuantizerConfig(codebook_size=64, hidden=8, speech_end=16, music_end=32, base_std=0.0)
-    with pytest.raises(ValueError, match="base_mean"):
-        QuantizerConfig(codebook_size=64, hidden=8, speech_end=16, music_end=32, base_mean=-1.0)
-    # zero mean is a valid centered configuration
-    QuantizerConfig(codebook_size=64, hidden=8, speech_end=16, music_end=32, base_mean=0.0)
-
-
 def test_init_base_statistics_follow_config():
-    cfg = QuantizerConfig(codebook_size=4096, hidden=32, speech_end=1024, music_end=2048,
-                          base_std=0.5, base_mean=6.0)
+    cfg = QuantizerConfig(codebook_size=4096, hidden=32, speech_end=1024, music_end=2048)
     params = init_quantizer_params(cfg, np.random.default_rng(11))
     base = params["vq.base"]
+    assert base.shape == (4096, 32)
     mean_vec = base.mean(axis=0)
-    assert abs(np.linalg.norm(mean_vec) - cfg.base_mean) < 0.1
-    assert abs((base - mean_vec).std() - cfg.base_std) < 0.02
+    assert abs(np.linalg.norm(mean_vec) - BASE_MEAN) < 0.1
+    assert abs((base - mean_vec).std() - BASE_STD) < 0.02
     assert np.allclose(params["vq.proj"].data, np.eye(32))
 
 

@@ -121,6 +121,41 @@ def test_unsupported_encoding_rejected(tmp_path):
         load_wav(p)
 
 
+def _mono_wav(fmt_tag, rate, bits, data):
+    block = bits // 8
+    return (
+        b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+        + b"fmt " + struct.pack("<IHHIIHH", 16, fmt_tag, 1, rate, rate * block, block, bits)
+        + b"data" + struct.pack("<I", len(data)) + data
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float32_nonfinite_samples_rejected(tmp_path, bad):
+    p = tmp_path / "nan.wav"
+    p.write_bytes(_mono_wav(3, 16000, 32, np.array([0.1, bad, 0.2], dtype="<f4").tobytes()))
+    with pytest.raises(WavParseError) as e:
+        load_wav(p)
+    assert "NaN or Inf" in str(e.value)
+
+
+@pytest.mark.parametrize("fmt_tag, bits", [(1, 16), (3, 32)])
+def test_partial_sample_in_data_chunk_rejected(tmp_path, fmt_tag, bits):
+    p = tmp_path / "partial.wav"
+    p.write_bytes(_mono_wav(fmt_tag, 16000, bits, b"\x00" * (bits // 8 + 1)))
+    with pytest.raises(WavParseError) as e:
+        load_wav(p)
+    assert "not whole" in str(e.value)
+
+
+def test_zero_sample_rate_rejected(tmp_path):
+    p = tmp_path / "rate0.wav"
+    p.write_bytes(_mono_wav(1, 0, 16, np.array([0, 100], dtype="<i2").tobytes()))
+    with pytest.raises(WavParseError) as e:
+        load_wav(p)
+    assert "sample rate of 0" in str(e.value)
+
+
 def test_wav_errors_share_base_class():
     assert issubclass(WavParseError, WavError)
     assert issubclass(WavUnsupportedError, WavError)
@@ -216,14 +251,15 @@ def test_stft_sine_peaks_at_bin():
     assert np.all(np.argmax(mag, axis=0) == 32)
 
 
-def test_stft_parseval_rect_window():
+def test_stft_parseval_hann_window():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(1024)
-    mag = stft_magnitude(AudioClip(x, 24000), StftConfig(1024, 256, window="rect"))
-    # one-sided spectrum: interior bins count twice
+    mag = stft_magnitude(AudioClip(x, 24000), StftConfig(1024, 256))
+    # the energy is that of the Hann-windowed frame; interior bins of the
+    # one-sided spectrum count twice
     sq = mag[:, 0] ** 2
     total = sq[0] + sq[-1] + 2 * sq[1:-1].sum()
-    assert abs(total - 1024 * np.sum(x**2)) / total < 1e-9
+    assert abs(total - 1024 * np.sum((x * np.hanning(1024)) ** 2)) / total < 1e-9
 
 
 def test_mel_equals_filterbank_matmul():
@@ -282,12 +318,6 @@ def test_audioclip_rejects_nonfinite():
 def test_audioclip_rejects_2d():
     with pytest.raises(ValueError):
         AudioClip(np.zeros((2, 100)), 24000)
-
-
-def test_peak_normalized():
-    clip = AudioClip(np.array([0.1, -0.2, 0.05]), 24000)
-    out = clip.peak_normalized()
-    assert abs(np.max(np.abs(out.samples)) - 0.95) < 1e-12
 
 
 def test_domain_from_string():
