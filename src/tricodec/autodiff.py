@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Provides exactly the operators the codec graph needs: matmul (dense and
-batched), 1-D convolutions, the usual pointwise nonlinearities, softmax,
-layer norm, reductions, indexing, rotary-position attention, and a
-straight-through passthrough for the quantizer. The graph is the implicit
+batched), 1-D convolutions, the usual pointwise nonlinearities,
+reductions, indexing, and a straight-through passthrough for the
+quantizer. Layer norm and rotary-position attention are single ops with
+closed-form backward passes. The graph is the implicit
 DAG linking each result tensor to its parents; ``backward`` walks it in
 exact reverse topological order. Graphs are confined to the context that
 built them; distinct graphs may run concurrently.
@@ -43,7 +44,6 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "tabs",
     "texp",
     "tlog",
@@ -51,13 +51,11 @@ __all__ = [
     "tanh",
     "sigmoid",
     "gelu",
-    "softmax",
     "tsum",
     "tmean",
     "matmul",
     "reshape",
     "transpose",
-    "concatenate",
     "gather_rows",
     "masked_fill_rows",
     "linear",
@@ -67,7 +65,6 @@ __all__ = [
     "conv1d",
     "conv1d_transpose",
     "rope_attention",
-    "rope_cos_sin",
     "stop_gradient",
     "passthrough",
     "zero_grads",
@@ -158,9 +155,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _as_tensor(other, self.dtype))
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other, self.dtype))
 
@@ -202,9 +196,13 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable, op: str) -> Tensor:
+def _check_finite(data: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"op '{op}' produced NaN/Inf")
+
+
+def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable, op: str) -> Tensor:
+    _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -280,10 +278,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bwd, "div")
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
-
-
 def tabs(a: Tensor) -> Tensor:
     # subgradient 0 at 0
     return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),), "abs")
@@ -330,18 +324,6 @@ def gelu(a: Tensor) -> Tensor:
         return (g * (cdf + x * pdf),)
 
     return _make(data, (a,), bwd, "gelu")
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return ((g - dot) * data,)
-
-    return _make(data, (a,), bwd, "softmax")
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +392,6 @@ def transpose(a: Tensor, axes=None) -> Tensor:
         return (g.transpose(inv),)
 
     return _make(data, (a,), bwd, "transpose")
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(data, tuple(tensors), bwd, "concatenate")
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -501,13 +472,22 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = div(_as_tensor(1.0, x.dtype), tsqrt(add(var, _as_tensor(eps, x.dtype))))
-    return add(mul(mul(centered, inv), gain), bias)
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5),
+    then affine."""
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    _check_finite(var, "layer_norm")  # an overflowed variance would zero the output
+    inv = np.asarray(1.0, x.dtype) / np.sqrt(var + np.asarray(1e-5, x.dtype))
+    xhat = centered * inv
+    data = xhat * gain.data + bias.data
+
+    def bwd(g):
+        gh = g * gain.data
+        gx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        return gx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
+
+    return _make(data, (x, gain, bias), bwd, "layer_norm")
 
 
 def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
@@ -667,37 +647,23 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: i
 # rotary-position attention
 
 
-def rope_cos_sin(t: int, head_dim: int, dtype, offset: int = 0, base: float = 10000.0):
-    """cos/sin tables for rotary embedding, positions offset..offset+t-1."""
+def _rope_table(t: int, head_dim: int, dtype) -> tuple:
+    """cos/sin tables of shape (1, t, head_dim) for rotary positions 0..t-1."""
     half = head_dim // 2
-    inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
-    ang = np.outer(np.arange(offset, offset + t, dtype=np.float64), inv_freq)
+    inv_freq = 10000.0 ** (-np.arange(half, dtype=np.float64) / half)
+    ang = np.outer(np.arange(t, dtype=np.float64), inv_freq)
     cos = np.concatenate([np.cos(ang), np.cos(ang)], axis=-1).astype(dtype)
     sin = np.concatenate([np.sin(ang), np.sin(ang)], axis=-1).astype(dtype)
-    return cos, sin
+    return cos[None], sin[None]
 
 
-def _rotate_half(x: Tensor) -> Tensor:
-    half = x.shape[-1] // 2
-    a = x[..., :half]
-    b = x[..., half:]
-    return concatenate([neg(b), a], axis=-1)
-
-
-def rope_attention(
-    x: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    wo: Tensor,
-    heads: int,
-    pos_offset: int = 0,
-) -> Tensor:
+def rope_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: int) -> Tensor:
     """Multi-head self-attention with rotary position rotation of q and k.
 
     x: (T, hidden); all weights (hidden, hidden); full (non-causal)
-    attention. ``pos_offset`` shifts the rotary positions, which leaves
-    relative-offset attention scores unchanged.
+    attention. Rotating y by R(y) = concat(-y[half:], y[:half]) gives
+    y * cos + R(y) * sin; its adjoint is g * cos + R^T(g * sin) with
+    R^T(a) = concat(a[half:], -a[:half]).
     """
     t, hidden = x.shape
     if hidden % heads != 0:
@@ -705,25 +671,45 @@ def rope_attention(
     hd = hidden // heads
     if hd % 2 != 0:
         raise ShapeError(f"rope_attention: head_dim {hd} must be even for rotary pairs")
+    half = hd // 2
+    cos, sin = _rope_table(t, hd, x.dtype)
+    scale = np.asarray(1.0 / math.sqrt(hd), x.dtype)
 
-    def split_heads(y):
-        return transpose(reshape(y, (t, heads, hd)), (1, 0, 2))  # (H, T, hd)
+    def split_heads(w):
+        return (x.data @ w.data.T).reshape(t, heads, hd).transpose(1, 0, 2)  # (H, T, hd)
 
-    q = split_heads(linear(x, wq))
-    k = split_heads(linear(x, wk))
-    v = split_heads(linear(x, wv))
+    def rotate(y):
+        return y * cos + np.concatenate([-y[..., half:], y[..., :half]], axis=-1) * sin
 
-    cos_np, sin_np = rope_cos_sin(t, hd, x.dtype, offset=pos_offset)
-    cos = Tensor(cos_np[None, :, :])
-    sin = Tensor(sin_np[None, :, :])
-    q = add(mul(q, cos), mul(_rotate_half(q), sin))
-    k = add(mul(k, cos), mul(_rotate_half(k), sin))
+    def merge_heads(y):
+        return y.transpose(1, 0, 2).reshape(t, hidden)
 
-    scores = mul(matmul(q, transpose(k, (0, 2, 1))), _as_tensor(1.0 / math.sqrt(hd), x.dtype))
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, v)                                   # (H, T, hd)
-    ctx = reshape(transpose(ctx, (1, 0, 2)), (t, hidden))
-    return linear(ctx, wo)
+    q = rotate(split_heads(wq))
+    k = rotate(split_heads(wk))
+    v = split_heads(wv)
+    scores = q @ k.transpose(0, 2, 1)
+    _check_finite(scores, "rope_attention")  # softmax would give an overflowed score weight 0
+    scores = scores * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    ctx = merge_heads(attn @ v)
+    data = ctx @ wo.data.T
+
+    def unrotate(g):
+        gs = g * sin
+        return g * cos + np.concatenate([gs[..., half:], -gs[..., :half]], axis=-1)
+
+    def bwd(g):
+        gctx = (g @ wo.data).reshape(t, heads, hd).transpose(1, 0, 2)
+        gattn = gctx @ v.transpose(0, 2, 1)
+        gscores = attn * (gattn - (gattn * attn).sum(axis=-1, keepdims=True)) * scale
+        gq = merge_heads(unrotate(gscores @ k))
+        gk = merge_heads(unrotate(gscores.transpose(0, 2, 1) @ q))
+        gv = merge_heads(attn.transpose(0, 2, 1) @ gctx)
+        gx = gq @ wq.data + gk @ wk.data + gv @ wv.data
+        return gx, gq.T @ x.data, gk.T @ x.data, gv.T @ x.data, g.T @ ctx
+
+    return _make(data, (x, wq, wk, wv, wo), bwd, "rope_attention")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 
 from .autodiff import ShapeError, Tensor, conv1d, conv1d_transpose, gelu, reshape, tanh
 
-__all__ = ["DecoderConfig", "init_decoder_params", "decode"]
+__all__ = ["DecoderConfig", "decoder_param_shapes", "init_decoder_params", "decode"]
 
 
 @dataclass(frozen=True)
@@ -33,18 +33,28 @@ class DecoderConfig:
         return int(np.prod(self.strides))
 
 
-def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator, dtype=np.float64) -> dict:
-    p = {}
+def decoder_param_shapes(cfg: DecoderConfig) -> dict:
+    """Name -> shape of every 'dec.*' parameter, in init order."""
+    s = {}
     c_in = cfg.hidden
     for i, (stride, c_out) in enumerate(zip(cfg.strides, cfg.channels)):
-        k = 2 * stride
-        std = 1.0 / np.sqrt(c_in * k)
-        p[f"dec.tconv{i}.w"] = rng.normal(0.0, std, (c_in, c_out, k))
-        p[f"dec.tconv{i}.b"] = np.zeros(c_out)
+        s[f"dec.tconv{i}.w"] = (c_in, c_out, 2 * stride)
+        s[f"dec.tconv{i}.b"] = (c_out,)
         c_in = c_out
-    std = 1.0 / np.sqrt(c_in * cfg.out_kernel)
-    p["dec.out.w"] = rng.normal(0.0, std, (1, c_in, cfg.out_kernel))
-    p["dec.out.b"] = np.zeros(1)
+    s["dec.out.w"] = (1, c_in, cfg.out_kernel)
+    s["dec.out.b"] = (1,)
+    return s
+
+
+def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator, dtype=np.float64) -> dict:
+    """Fan-in scaled weights (C_in * K), zero biases."""
+    p = {}
+    for name, shape in decoder_param_shapes(cfg).items():
+        if name.endswith(".b"):
+            p[name] = np.zeros(shape)
+        else:
+            c_in = shape[1] if name == "dec.out.w" else shape[0]
+            p[name] = rng.normal(0.0, 1.0 / np.sqrt(c_in * shape[2]), shape)
     return {k: v.astype(dtype) for k, v in p.items()}
 
 

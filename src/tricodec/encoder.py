@@ -33,6 +33,7 @@ from .autodiff import (
 __all__ = [
     "MoEConfig",
     "EncoderConfig",
+    "encoder_param_shapes",
     "init_encoder_params",
     "conv_encode",
     "moe_gate",
@@ -83,10 +84,33 @@ class EncoderConfig:
         return int(np.prod(self.strides))
 
 
+def encoder_param_shapes(cfg: EncoderConfig) -> dict:
+    """Name -> shape of every 'enc.*' parameter, in init order."""
+    s = {}
+    c_in = 1
+    for i, (stride, c_out) in enumerate(zip(cfg.strides, cfg.conv_channels)):
+        s[f"enc.conv{i}.w"] = (c_out, c_in, 2 * stride)
+        s[f"enc.conv{i}.b"] = (c_out,)
+        c_in = c_out
+    h, e, moe = cfg.hidden, cfg.moe.expert_dim, cfg.moe
+    experts = [f"shared{j}" for j in range(moe.n_shared)] + [f"routed{j}" for j in range(moe.n_routed)]
+    for i in range(cfg.layers):
+        pre = f"enc.blk{i}"
+        s.update({f"{pre}.ln1.g": (h,), f"{pre}.ln1.b": (h,)})
+        s.update({f"{pre}.attn.{nm}": (h, h) for nm in ("wq", "wk", "wv", "wo")})
+        s.update({f"{pre}.ln2.g": (h,), f"{pre}.ln2.b": (h,)})
+        for ex in (f"{pre}.{x}" for x in experts):
+            s.update({f"{ex}.w1": (e, h), f"{ex}.b1": (e,), f"{ex}.w2": (h, e), f"{ex}.b2": (h,)})
+        s[f"{pre}.centroids"] = (moe.n_routed, h)
+    s.update({"enc.final_ln.g": (h,), "enc.final_ln.b": (h,), "enc.mask_embed": (h,)})
+    return s
+
+
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float64) -> dict:
     """Deterministic parameter init, keyed 'enc.*'. Conv weights use fan-in
-    scaling with gain 2, since GELU's slope at 0 is 1/2; attention/expert
-    weights std 0.02; router centroids std 0.02.
+    scaling with gain 2, since GELU's slope at 0 is 1/2; biases start at 0
+    and norm gains at 1; attention/expert weights, router centroids and
+    the mask embedding have std 0.02.
 
     The gain brings the conv features of peak-normalized audio near unit
     RMS, the scale the transformer's pre-norm blocks add their updates to.
@@ -96,36 +120,15 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.f
     final norm would map every frame of a clip onto nearly the same
     direction, and the clip onto one or two codewords."""
     p = {}
-    c_in = 1
-    for i, (stride, c_out) in enumerate(zip(cfg.strides, cfg.conv_channels)):
-        k = 2 * stride
-        std = 2.0 / np.sqrt(c_in * k)
-        p[f"enc.conv{i}.w"] = rng.normal(0.0, std, (c_out, c_in, k))
-        p[f"enc.conv{i}.b"] = np.zeros(c_out)
-        c_in = c_out
-    h, e = cfg.hidden, cfg.moe.expert_dim
-    for i in range(cfg.layers):
-        pre = f"enc.blk{i}"
-        p[f"{pre}.ln1.g"] = np.ones(h)
-        p[f"{pre}.ln1.b"] = np.zeros(h)
-        for nm in ("wq", "wk", "wv", "wo"):
-            p[f"{pre}.attn.{nm}"] = rng.normal(0.0, 0.02, (h, h))
-        p[f"{pre}.ln2.g"] = np.ones(h)
-        p[f"{pre}.ln2.b"] = np.zeros(h)
-        for j in range(cfg.moe.n_shared):
-            p[f"{pre}.shared{j}.w1"] = rng.normal(0.0, 0.02, (e, h))
-            p[f"{pre}.shared{j}.b1"] = np.zeros(e)
-            p[f"{pre}.shared{j}.w2"] = rng.normal(0.0, 0.02, (h, e))
-            p[f"{pre}.shared{j}.b2"] = np.zeros(h)
-        for j in range(cfg.moe.n_routed):
-            p[f"{pre}.routed{j}.w1"] = rng.normal(0.0, 0.02, (e, h))
-            p[f"{pre}.routed{j}.b1"] = np.zeros(e)
-            p[f"{pre}.routed{j}.w2"] = rng.normal(0.0, 0.02, (h, e))
-            p[f"{pre}.routed{j}.b2"] = np.zeros(h)
-        p[f"{pre}.centroids"] = rng.normal(0.0, 0.02, (cfg.moe.n_routed, h))
-    p["enc.final_ln.g"] = np.ones(h)
-    p["enc.final_ln.b"] = np.zeros(h)
-    p["enc.mask_embed"] = rng.normal(0.0, 0.02, h)
+    for name, shape in encoder_param_shapes(cfg).items():
+        if name.startswith("enc.conv") and name.endswith(".w"):
+            p[name] = rng.normal(0.0, 2.0 / np.sqrt(shape[1] * shape[2]), shape)
+        elif name.endswith((".b", ".b1", ".b2")):
+            p[name] = np.zeros(shape)
+        elif name.endswith(".g"):
+            p[name] = np.ones(shape)
+        else:
+            p[name] = rng.normal(0.0, 0.02, shape)
     return {k: v.astype(dtype) for k, v in p.items()}
 
 
@@ -207,14 +210,12 @@ def moe_ffn(u: Tensor, params: dict, prefix: str, cfg: MoEConfig) -> Tensor:
     return add(u, moe_mix(u, params, prefix, cfg))
 
 
-def transformer_encode(
-    feats: Tensor, params: dict, cfg: EncoderConfig, final_norm: bool = True
-) -> Tensor:
+def transformer_encode(feats: Tensor, params: dict, cfg: EncoderConfig) -> Tensor:
     """Pre-norm blocks of (RoPE self-attention -> MoE feed-forward), each
-    residual, then an optional final layer norm. Output shape = input shape.
+    residual, then a final layer norm. Output shape = input shape.
 
     With zeroed attention output and expert second-layer weights the block
-    stack is the identity (skip ``final_norm`` to observe it exactly).
+    stack is the identity, so the output is the final norm of the input.
     """
     x = feats
     for i in range(cfg.layers):
@@ -233,9 +234,7 @@ def transformer_encode(
         )
         ffn_in = layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
         x = add(x, moe_mix(ffn_in, params, pre, cfg.moe))
-    if final_norm:
-        x = layer_norm(x, params["enc.final_ln.g"], params["enc.final_ln.b"])
-    return x
+    return layer_norm(x, params["enc.final_ln.g"], params["enc.final_ln.b"])
 
 
 def encode_frames(

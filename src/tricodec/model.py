@@ -12,9 +12,16 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .autodiff import Tensor, no_grad
-from .decoder import DecoderConfig, decode, init_decoder_params
-from .encoder import EncoderConfig, MoEConfig, encode_frames, init_encoder_params
-from .quantizer import QuantizerConfig, TokenStream, init_quantizer_params, quantize, simvq_embed
+from .decoder import DecoderConfig, decode, decoder_param_shapes, init_decoder_params
+from .encoder import EncoderConfig, MoEConfig, encode_frames, encoder_param_shapes, init_encoder_params
+from .quantizer import (
+    QuantizerConfig,
+    TokenStream,
+    init_quantizer_params,
+    quantize,
+    quantizer_param_shapes,
+    simvq_embed,
+)
 from .signal import AudioClip, Domain
 
 __all__ = ["CodecConfig", "Codec"]
@@ -72,6 +79,14 @@ class CodecConfig:
                 strides=(2, 4, 5, 4, 2), channels=(32, 32, 16, 8, 8), hidden=64, out_kernel=7
             ),
         )
+
+    def param_shapes(self) -> dict:
+        """Name -> shape of every parameter, in init order."""
+        return {
+            **encoder_param_shapes(self.encoder),
+            **quantizer_param_shapes(self.quantizer),
+            **decoder_param_shapes(self.decoder),
+        }
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -200,7 +215,12 @@ class Codec:
         params = {
             k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")
         }
-        if "enc.conv0.w" not in params:
-            raise ckpt.CheckpointError(f"{path}: checkpoint lacks tensor 'param/enc.conv0.w'")
+        for name, shape in config.param_shapes().items():
+            if name not in params:
+                raise ckpt.CheckpointError(f"{path}: checkpoint lacks tensor 'param/{name}'")
+            if params[name].shape != shape:
+                raise ckpt.CheckpointError(
+                    f"{path}: tensor 'param/{name}' has shape {params[name].shape}, config expects {shape}"
+                )
         dtype = params["enc.conv0.w"].dtype
         return cls(config, dtype=dtype, params=params)

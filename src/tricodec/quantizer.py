@@ -24,6 +24,7 @@ __all__ = [
     "QuantizerConfig",
     "TokenStream",
     "TokenStreamError",
+    "quantizer_param_shapes",
     "init_quantizer_params",
     "effective_codewords",
     "simvq_embed",
@@ -89,6 +90,11 @@ class TokenStream:
         return len(self.ids)
 
 
+def quantizer_param_shapes(cfg: QuantizerConfig) -> dict:
+    """Name -> shape of every 'vq.*' parameter, in init order."""
+    return {"vq.base": (cfg.codebook_size, cfg.hidden), "vq.proj": (cfg.hidden, cfg.hidden)}
+
+
 def init_quantizer_params(cfg: QuantizerConfig, rng: np.random.Generator, dtype=np.float64) -> dict:
     """Base embeddings are Gaussian with a shared mean of norm ``BASE_MEAN``
     (along a direction drawn once per init) plus i.i.d. noise of std
@@ -101,12 +107,13 @@ def init_quantizer_params(cfg: QuantizerConfig, rng: np.random.Generator, dtype=
     use by itself: the toy acoustic run ends on about five codewords per
     clip with it and about four with a zero mean. How many entries a
     clip uses follows how spread the encoder keeps its frames."""
+    shapes = quantizer_param_shapes(cfg)
     direction = rng.normal(0.0, 1.0, cfg.hidden)
     direction /= np.linalg.norm(direction)
-    base = BASE_MEAN * direction + rng.normal(0.0, BASE_STD, (cfg.codebook_size, cfg.hidden))
+    base = BASE_MEAN * direction + rng.normal(0.0, BASE_STD, shapes["vq.base"])
     return {
         "vq.base": base.astype(dtype),
-        "vq.proj": np.eye(cfg.hidden).astype(dtype),
+        "vq.proj": np.eye(*shapes["vq.proj"]).astype(dtype),
     }
 
 

@@ -13,7 +13,6 @@ from tricodec.autodiff import (
     Tensor,
     add,
     backward,
-    concatenate,
     conv1d,
     conv1d_transpose,
     cosine_similarity,
@@ -31,7 +30,6 @@ from tricodec.autodiff import (
     reshape,
     rope_attention,
     sigmoid,
-    softmax,
     stop_gradient,
     tabs,
     tanh,
@@ -64,18 +62,6 @@ def test_gelu_matches_erf_form():
     got = gelu(Tensor(x)).data
     want = np.array([0.5 * v * (1 + erf(v / sqrt(2))) for v in x])
     assert np.allclose(got, want, atol=1e-12)
-
-
-def test_softmax_equal_logits_uniform():
-    for n in (1, 4, 9):
-        out = softmax(Tensor(np.full((n,), 3.7))).data
-        assert np.allclose(out, 1.0 / n, atol=1e-12)
-
-
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(0)
-    out = softmax(Tensor(rand(rng, 5, 7)), axis=-1).data
-    assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_conv1d_kernel_one_identity():
@@ -129,6 +115,21 @@ def test_layer_norm_standardizes():
     out = layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32))).data
     assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-6)
     assert np.allclose(out.var(axis=-1), 1.0, atol=1e-4)
+
+
+def layer_norm_reference(x, gain, bias):
+    """The normalization as a chain of numpy ops, in the op's order."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    return centered * inv * gain + bias
+
+
+def test_layer_norm_matches_numpy_reference():
+    rng = np.random.default_rng(24)
+    for shape in [(1, 8), (9, 16), (4, 64)]:
+        x, gain, bias = rand(rng, *shape) * 3 + 1, rand(rng, shape[-1]), rand(rng, shape[-1])
+        got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        assert np.array_equal(got, layer_norm_reference(x, gain, bias)), shape
 
 
 def test_cosine_similarity_bounds_and_self():
@@ -251,15 +252,12 @@ def test_grad_check_gelu_linear_stack():
 
 
 def test_grad_check_excludes_topk_kink():
-    # max(x) with two near-tied entries has a kink; the second-difference
-    # filter must flag and exclude those coordinates rather than fail
-    x = np.array([1.0, 1.0 + 1e-9, -3.0])
-
-    def f(t):
-        return tsum(tabs(t)) + tsum(mul(softmax(mul(t, Tensor(np.array(1e6)))), t))
-
-    rep = grad_check(f, Tensor(x))
-    assert len(rep.kink_coords) > 0
+    # |x| at 1e-9 sits on its kink: the central difference straddles 0 and
+    # disagrees with the analytic slope 1, so the second-difference filter
+    # must flag and exclude that coordinate rather than fail
+    rep = grad_check(lambda t: tsum(tabs(t)), Tensor(np.array([1e-9, 1.0, -3.0])))
+    assert rep.kink_coords == [0]
+    assert rep.passed, str(rep)
 
 
 def test_grad_check_reports_wrong_gradient():
@@ -281,19 +279,16 @@ OPS = [
     ("sub", lambda x, y: x - y, 2),
     ("mul", lambda x, y: mul(x, y), 2),
     ("div", lambda x, y: x / add(mul(y, y), Tensor(np.array(0.5))), 2),
-    ("neg", lambda x: -x, 1),
     ("texp", lambda x: texp(x), 1),
     ("tlog", lambda x: tlog(add(mul(x, x), Tensor(np.array(0.1)))), 1),
     ("tsqrt", lambda x: tsqrt(add(mul(x, x), Tensor(np.array(0.1)))), 1),
     ("tanh", lambda x: tanh(x), 1),
     ("sigmoid", lambda x: sigmoid(x), 1),
     ("gelu", lambda x: gelu(x), 1),
-    ("softmax", lambda x: softmax(x, axis=-1), 1),
     ("tmean", lambda x: tmean(x, axis=0, keepdims=True), 1),
     ("matmul", lambda x, y: matmul(x, transpose(y)), 2),
     ("reshape", lambda x: reshape(x, (-1,)), 1),
     ("transpose", lambda x: transpose(x), 1),
-    ("concatenate", lambda x, y: concatenate([x, y], axis=0), 2),
     ("layer_norm", lambda x: layer_norm(x, Tensor(np.ones(x.shape[-1])), Tensor(np.zeros(x.shape[-1]))), 1),
     ("cosine", lambda x, y: cosine_similarity(x, y), 2),
     ("logsumexp", lambda x: logsumexp(x, axis=-1), 1),
@@ -386,14 +381,6 @@ def test_getitem_slice_grad():
 
     rep = grad_check(f, Tensor(rand(rng, 8, 3)))
     assert rep.passed, str(rep)
-
-
-def test_concatenate_splits_gradient():
-    a = Tensor(np.ones((2, 3)), requires_grad=True)
-    b = Tensor(np.ones((4, 3)), requires_grad=True)
-    backward(tsum(mul(concatenate([a, b], axis=0), Tensor(np.arange(18.0).reshape(6, 3)))))
-    assert np.array_equal(a.grad, np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(b.grad, np.arange(6.0, 18.0).reshape(4, 3))
 
 
 def test_masked_fill_rows_values_and_grads():
@@ -571,29 +558,52 @@ def test_conv1d_builds_no_window_array():
     assert peak < 2 * (x.data.nbytes + out.data.nbytes)
 
 
+def test_layer_norm_grad_all_inputs():
+    rng = np.random.default_rng(25)
+    for shape in [(1, 4), (3, 4), (5, 6)]:
+        args = (rand(rng, *shape) * 2 + 1, 1.0 + 0.3 * rand(rng, shape[-1]), rand(rng, shape[-1]))
+        grad_check_each_operand(layer_norm, args, shape, rng)
+
+
 def test_rope_attention_grad():
+    # every input (x, wq, wk, wv, wo) on T = 1, one head, and multi-head shapes
     rng = np.random.default_rng(22)
-    h = 8
-    ws = [Tensor(rand(rng, h, h) * 0.3) for _ in range(4)]
-
-    def f(x):
-        out = rope_attention(x, *ws, heads=2)
-        return tmean(mul(out, out))
-
-    rep = grad_check(f, Tensor(rand(rng, 6, h)))
-    assert rep.passed, str(rep)
+    for t, h, heads in [(1, 8, 1), (4, 4, 1), (6, 8, 2), (5, 16, 4)]:
+        args = (rand(rng, t, h),) + tuple(rand(rng, h, h) * 0.3 for _ in range(4))
+        grad_check_each_operand(rope_attention, args, (t, h), rng, heads=heads)
 
 
-def test_rope_attention_shift_consistency():
-    # shifting all rotary positions by a common offset must not change the
-    # output (relative-position property)
+def rope_attention_reference(x, wq, wk, wv, wo, heads):
+    """Rotary attention as a chain of numpy ops, in the op's order."""
+    t, hidden = x.shape
+    hd = hidden // heads
+    half = hd // 2
+    ang = np.outer(np.arange(t, dtype=np.float64), 10000.0 ** (-np.arange(half, dtype=np.float64) / half))
+    cos = np.concatenate([np.cos(ang), np.cos(ang)], axis=-1)[None]
+    sin = np.concatenate([np.sin(ang), np.sin(ang)], axis=-1)[None]
+
+    def rotated(y):
+        return y * cos + np.concatenate([-y[..., half:], y[..., :half]], axis=-1) * sin
+
+    def split_heads(w):
+        return (x @ w.T).reshape(t, heads, hd).transpose(1, 0, 2)
+
+    q, k, v = rotated(split_heads(wq)), rotated(split_heads(wk)), split_heads(wv)
+    scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(hd))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    ctx = (e / e.sum(axis=-1, keepdims=True)) @ v
+    return ctx.transpose(1, 0, 2).reshape(t, hidden) @ wo.T
+
+
+def test_rope_attention_matches_numpy_reference():
     rng = np.random.default_rng(23)
     h = 16
-    x = Tensor(rand(rng, 9, h))
-    ws = [Tensor(rand(rng, h, h) * 0.2) for _ in range(4)]
-    a = rope_attention(x, *ws, heads=4, pos_offset=0).data
-    b = rope_attention(x, *ws, heads=4, pos_offset=137).data
-    assert np.allclose(a, b, atol=1e-6)
+    for heads in (1, 2, 4):
+        for t in (1, 9):
+            x = rand(rng, t, h)
+            ws = [rand(rng, h, h) * 0.2 for _ in range(4)]
+            got = rope_attention(Tensor(x), *map(Tensor, ws), heads=heads).data
+            assert np.array_equal(got, rope_attention_reference(x, *ws, heads)), (heads, t)
 
 
 def test_rope_attention_head_divisibility_error():
@@ -616,6 +626,18 @@ def test_nonfinite_forward_raises():
         Tensor(np.array([1.0])) / Tensor(np.array([0.0]))
 
 
+def test_fused_ops_raise_on_overflow_a_finite_output_would_hide():
+    # an infinite variance would normalize to 0, and a -inf attention score
+    # would get softmax weight 0; both must fail like any overflow
+    w = np.eye(2) * 1e160
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError):
+            layer_norm(Tensor(np.array([[1e200, -1e200]])), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        with pytest.raises(NonFiniteError):
+            x = Tensor(np.array([[1.0, 0.0], [0.0, 0.0]]))
+            rope_attention(x, Tensor(w), Tensor(-w), Tensor(np.eye(2)), Tensor(np.eye(2)), heads=1)
+
+
 def test_tensor_rejects_nonfinite_data():
     with pytest.raises(NonFiniteError):
         Tensor(np.array([np.nan]))
@@ -628,6 +650,11 @@ def test_float32_preserved_float64_default():
     assert Tensor([1, 2, 3]).dtype == np.float64
     out = add(Tensor(np.ones(3, dtype=np.float32)), Tensor(np.ones(3, dtype=np.float32)))
     assert out.dtype == np.float32
+    rng = np.random.default_rng(32)
+    x, w = (Tensor(rand(rng, *s).astype(np.float32)) for s in ((5, 8), (8, 8)))
+    assert rope_attention(x, w, w, w, w, heads=2).dtype == np.float32
+    ones, zeros = Tensor(np.ones(8, dtype=np.float32)), Tensor(np.zeros(8, dtype=np.float32))
+    assert layer_norm(x, ones, zeros).dtype == np.float32
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ def test_bad_checkpoint_categorized(workdir, capsys):
 
 @pytest.mark.parametrize(
     "variant", ["not-utf8", "not-json", "no-encoder", "no-quantizer", "no-decoder",
-                "unknown-key", "no-conv0"],
+                "unknown-key", "no-conv0", "no-dec.out.b", "short-vq.proj"],
 )
 def test_decode_doctored_checkpoint_categorized(workdir, capsys, variant):
     arrays = load_tensors(workdir / "run_a" / "ckpt_final.tckp")
@@ -330,12 +330,15 @@ def test_decode_doctored_checkpoint_categorized(workdir, capsys, variant):
         raw = b"{not json"
     elif variant == "unknown-key":
         raw = json.dumps({**cfg, "mystery": 1}).encode()
-    elif variant.startswith("no-") and variant != "no-conv0":
+    elif variant in ("no-encoder", "no-quantizer", "no-decoder"):
         del cfg[variant[3:]]
         raw = json.dumps(cfg).encode()
     else:
         raw = arrays["meta/config_json"].tobytes()
-        del arrays["param/enc.conv0.w"]
+        if variant == "short-vq.proj":
+            arrays["param/vq.proj"] = arrays["param/vq.proj"][:3]
+        else:
+            del arrays["param/" + {"no-conv0": "enc.conv0.w"}.get(variant, variant[3:])]
     arrays["meta/config_json"] = np.frombuffer(raw, dtype=np.uint8)
     bad = workdir / f"doctored_{variant}.tckp"
     save_tensors(bad, arrays)

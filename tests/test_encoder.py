@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tricodec.autodiff import Tensor, backward, grad_check, mul, tmean, tsum
+from tricodec.autodiff import Tensor, backward, grad_check, layer_norm, mul, tmean, tsum
 from tricodec.encoder import (
     EncoderConfig,
     MoEConfig,
@@ -189,8 +189,9 @@ def test_transformer_identity_when_block_outputs_zeroed():
     for j in range(CFG.moe.n_routed):
         params[f"enc.blk0.routed{j}.w2"] = Tensor(np.zeros((CFG.hidden, CFG.moe.expert_dim)))
     x = rng.standard_normal((9, CFG.hidden))
-    out = transformer_encode(Tensor(x), params, CFG, final_norm=False)
-    assert np.array_equal(out.data, x)
+    out = transformer_encode(Tensor(x), params, CFG)
+    want = layer_norm(Tensor(x), params["enc.final_ln.g"], params["enc.final_ln.b"])
+    assert np.array_equal(out.data, want.data)
 
 
 def test_transformer_shape_preserved():

@@ -103,6 +103,7 @@ def test_init_deterministic_and_frozen_base():
     a = Codec(micro_config(), seed=5)
     b = Codec(micro_config(), seed=5)
     assert set(a.params) == set(b.params)
+    assert {k: v.shape for k, v in a.params.items()} == micro_config().param_shapes()
     for k in a.params:
         assert np.array_equal(a.params[k].data, b.params[k].data), k
     assert not a.params["vq.base"].requires_grad
