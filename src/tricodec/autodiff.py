@@ -2,9 +2,11 @@
 
 Provides exactly the operators the codec graph needs: matmul (dense and
 batched), 1-D convolutions, the usual pointwise nonlinearities,
-reductions, indexing, and a straight-through passthrough for the
-quantizer. Layer norm and rotary-position attention are single ops with
-closed-form backward passes. The graph is the implicit
+reductions, indexing, ``index_add_rows`` (which adds a row block into
+given distinct rows: the scatter of the MoE's sparse expert dispatch),
+and a straight-through passthrough for the quantizer. Layer norm and
+rotary-position attention are single ops with closed-form backward
+passes. The graph is the implicit
 DAG linking each result tensor to its parents; ``backward`` walks it in
 exact reverse topological order. Graphs are confined to the context that
 built them; distinct graphs may run concurrently.
@@ -58,6 +60,7 @@ __all__ = [
     "transpose",
     "gather_rows",
     "masked_fill_rows",
+    "index_add_rows",
     "linear",
     "layer_norm",
     "cosine_similarity",
@@ -439,6 +442,19 @@ def masked_fill_rows(x: Tensor, mask: np.ndarray, v: Tensor) -> Tensor:
         return gx, gv
 
     return _make(data, (x, v), bwd, "masked_fill_rows")
+
+
+def index_add_rows(x: Tensor, idx, rows: Tensor) -> Tensor:
+    """x with ``rows[i]`` added to row ``idx[i]``; ``idx`` is a 1-D array of
+    distinct row indices. Rows not in ``idx`` pass through bit-exactly."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or rows.shape != idx.shape + x.shape[1:]:
+        raise ShapeError(f"index_add_rows: rows {rows.shape} vs {idx.shape} indices into {x.shape}")
+    if np.unique(idx).size != idx.size:
+        raise AutodiffError("index_add_rows: row indices must be distinct")
+    data = x.data.copy()
+    data[idx] += rows.data
+    return _make(data, (x, rows), lambda g: (g, g[idx]), "index_add_rows")
 
 
 def stop_gradient(a: Tensor) -> Tensor:

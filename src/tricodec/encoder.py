@@ -18,6 +18,7 @@ from .autodiff import (
     conv1d,
     div,
     gelu,
+    index_add_rows,
     layer_norm,
     linear,
     masked_fill_rows,
@@ -189,8 +190,11 @@ def _expert_ffn(u: Tensor, params: dict, prefix: str) -> Tensor:
 def moe_mix(u: Tensor, params: dict, prefix: str, cfg: MoEConfig) -> Tensor:
     """Sum of shared experts plus gate-weighted routed experts (no residual).
 
-    Routed experts are evaluated densely and scaled by their gates; zero
-    gates contribute exactly zero, so this equals masked sparse execution.
+    Every row runs the shared experts; routed expert j runs only on the
+    rows whose gate selects it, and its gate-scaled outputs are added back
+    into those rows. A row's zero gates would add exactly zero, so this
+    equals the dense gate-weighted sum. An expert no row selects builds no
+    graph node, and its parameters get no gradient.
     """
     single = u.ndim == 1
     ut = reshape(u, (1, u.shape[0])) if single else u
@@ -199,9 +203,13 @@ def moe_mix(u: Tensor, params: dict, prefix: str, cfg: MoEConfig) -> Tensor:
     for j in range(cfg.n_shared):
         out = _expert_ffn(ut, params, f"{prefix}.shared{j}")
         mix = out if mix is None else add(mix, out)
+    if mix is None:
+        mix = Tensor(np.zeros(ut.shape, dtype=ut.dtype))
     for j in range(cfg.n_routed):
-        weighted = mul(_expert_ffn(ut, params, f"{prefix}.routed{j}"), gates[:, j : j + 1])
-        mix = weighted if mix is None else add(mix, weighted)
+        rows = np.flatnonzero(gates.data[:, j])
+        if rows.size:
+            out = _expert_ffn(ut[rows], params, f"{prefix}.routed{j}")
+            mix = index_add_rows(mix, rows, mul(out, gates[rows, j : j + 1]))
     return reshape(mix, (mix.shape[1],)) if single else mix
 
 

@@ -353,6 +353,12 @@ def _warm_start_projection(codec: Codec, clips: Sequence[AudioClip], cfg: StageC
     codec.params["vq.proj"].data[...] = fit.T.astype(codec.dtype)
 
 
+def _diverged(step: int, err: Exception, last_good) -> DivergenceError:
+    return DivergenceError(
+        f"training diverged at step {step}: {err}; last good checkpoint: {last_good or 'none saved'}"
+    )
+
+
 def train_stage(
     clips: Sequence[AudioClip],
     cfg: StageConfig,
@@ -440,10 +446,7 @@ def train_stage(
                 backward(batch_loss)
                 opt.step(lr_t)
             except NonFiniteError as e:
-                raise DivergenceError(
-                    f"training diverged at step {step}: {e}; last good checkpoint: "
-                    f"{last_good if last_good else 'none saved'}"
-                ) from e
+                raise _diverged(step, e, last_good) from e
 
             if step % cfg.log_every == 0 or step == cfg.steps - 1:
                 record = {
@@ -467,12 +470,17 @@ def train_stage(
     finally:
         log_f.close()
 
+    # evaluate before writing: a last step that overflowed the weights must
+    # not leave a final checkpoint behind
+    try:
+        final_recon = dataset_recon_loss(codec, clips, cfg)
+    except NonFiniteError as e:
+        raise _diverged(cfg.steps, e, last_good) from e
     final = run_dir / "ckpt_final.tckp"
     _save_state(
         final, codec, opt, rng, cfg.steps, max(stage_done, cfg.stage.value), 0
     )
     checkpoints.append(final)
-    final_recon = dataset_recon_loss(codec, clips, cfg)
     return TrainResult(
         final_checkpoint=final,
         log_path=log_path,

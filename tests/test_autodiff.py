@@ -17,6 +17,7 @@ from tricodec.autodiff import (
     conv1d_transpose,
     cosine_similarity,
     gather_rows,
+    index_add_rows,
     gelu,
     grad_check,
     layer_norm,
@@ -292,6 +293,8 @@ OPS = [
     ("layer_norm", lambda x: layer_norm(x, Tensor(np.ones(x.shape[-1])), Tensor(np.zeros(x.shape[-1]))), 1),
     ("cosine", lambda x, y: cosine_similarity(x, y), 2),
     ("logsumexp", lambda x: logsumexp(x, axis=-1), 1),
+    # x reaches both operands, so both backward outputs are checked
+    ("index_add_rows", lambda x, y: index_add_rows(x, np.array([x.shape[0] - 1, 0]), mul(x[:2], y[:2])), 2),
 ]
 
 
@@ -397,6 +400,20 @@ def test_masked_fill_rows_values_and_grads():
     assert np.array_equal(x.grad[mask], np.zeros((3, 4)))
     assert np.array_equal(x.grad[~mask], np.full((3, 4), 2.0))
     assert np.array_equal(v.grad, np.full(4, 6.0))
+
+
+def test_index_add_rows_values_and_errors():
+    rng = np.random.default_rng(23)
+    xv, rv = rand(rng, 5, 3), rand(rng, 2, 3)
+    out = index_add_rows(Tensor(xv), np.array([3, 1]), Tensor(rv))
+    want = xv.copy()
+    want[3] += rv[0]
+    want[1] += rv[1]
+    assert np.array_equal(out.data, want)
+    with pytest.raises(AutodiffError):
+        index_add_rows(Tensor(xv), np.array([1, 1]), Tensor(rv))
+    with pytest.raises(ShapeError):
+        index_add_rows(Tensor(xv), np.array([0, 1, 2]), Tensor(rv))
 
 
 def test_stop_gradient_blocks():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tricodec.autodiff import Tensor, backward, grad_check, layer_norm, mul, tmean, tsum
+from tricodec import encoder
+from tricodec.autodiff import Tensor, add, backward, gelu, grad_check, layer_norm, linear, mul, tmean, tsum
 from tricodec.encoder import (
     EncoderConfig,
     MoEConfig,
@@ -17,6 +18,8 @@ from tricodec.encoder import (
     moe_mix,
     transformer_encode,
 )
+from tricodec.model import CodecConfig
+from tricodec.training import AdamW
 
 CFG = EncoderConfig(
     strides=(2, 4, 5, 4, 2),
@@ -142,6 +145,116 @@ def test_moe_gate_gradient_flows_to_centroids():
     backward(tsum(mul(moe_gate(u, cents, 2), Tensor(rng.standard_normal((5, 3))))))
     assert cents.grad is not None
     assert np.any(cents.grad != 0)
+
+
+def dense_moe_mix(u, params, prefix, cfg):
+    """Graph of the dense form: every routed expert on every row, scaled by
+    its gate, zero gates included."""
+
+    def expert(name):
+        h = gelu(linear(u, params[f"{prefix}.{name}.w1"], params[f"{prefix}.{name}.b1"]))
+        return linear(h, params[f"{prefix}.{name}.w2"], params[f"{prefix}.{name}.b2"])
+
+    gates = moe_gate(u, params[f"{prefix}.centroids"], cfg.k_routed)
+    mix = None
+    for name in [f"shared{j}" for j in range(cfg.n_shared)]:
+        mix = expert(name) if mix is None else add(mix, expert(name))
+    for j in range(cfg.n_routed):
+        weighted = mul(expert(f"routed{j}"), gates[:, j : j + 1])
+        mix = weighted if mix is None else add(mix, weighted)
+    return mix
+
+
+def moe_grads(mix_fn, cfg, u, readout, cents=None):
+    """Gradients of sum(readout * mix) for u, the router centroids and
+    every expert weight; None where the graph never reached a weight."""
+    params = make_params(cfg, seed=31)
+    if cents is not None:
+        params["enc.blk0.centroids"] = Tensor(cents, requires_grad=True)
+    ut = Tensor(u, requires_grad=True)
+    backward(tsum(mul(mix_fn(ut, params, "enc.blk0", cfg.moe), Tensor(readout))))
+    grads = {k: p.grad for k, p in params.items() if k.endswith((".centroids", ".w1", ".b1", ".w2", ".b2"))}
+    return ut.grad, grads, params
+
+
+def moe_cfg(n_shared, k):
+    return EncoderConfig(
+        strides=(2,), conv_channels=(8,), hidden=8, layers=1, heads=2,
+        moe=MoEConfig(n_shared=n_shared, n_routed=3, k_routed=k, expert_dim=8),
+    )
+
+
+@pytest.mark.parametrize("n_shared,k", [(0, 1), (1, 1), (1, 2)])
+def test_sparse_moe_grads_match_dense_graph(n_shared, k):
+    cfg = moe_cfg(n_shared, k)
+    rng = np.random.default_rng(40 + 10 * n_shared + k)
+    u, readout = rng.standard_normal((24, 8)), rng.standard_normal((24, 8))
+    gu, got, _ = moe_grads(moe_mix, cfg, u, readout)
+    wu, want, _ = moe_grads(dense_moe_mix, cfg, u, readout)
+    # the premise: every routed expert has rows, so every parameter has a gradient
+    assert all(g is not None for g in got.values())
+    np.testing.assert_allclose(gu, wu, rtol=1e-10)
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-10, err_msg=name)
+
+
+def test_unselected_routed_expert_gets_no_grad_and_adamw_treats_it_as_zero():
+    cfg = moe_cfg(1, 1)
+    rng = np.random.default_rng(44)
+    u, readout = rng.standard_normal((24, 8)), rng.standard_normal((24, 8))
+    cents = rng.standard_normal((3, 8))
+    cents[2] = cents[0]  # equal affinities; the tie goes to expert 0, so top-1 never picks 2
+    gu, got, params = moe_grads(moe_mix, cfg, u, readout, cents)
+    wu, want, _ = moe_grads(dense_moe_mix, cfg, u, readout, cents)
+    gates = moe_gate(Tensor(u), params["enc.blk0.centroids"], 1).data
+    assert not gates[:, 2].any() and gates[:, 0].any() and gates[:, 1].any()
+    np.testing.assert_allclose(gu, wu, rtol=1e-10)
+    unused = [f"enc.blk0.routed2.{w}" for w in ("w1", "b1", "w2", "b2")]
+    for name in want:
+        if name in unused:
+            assert got[name] is None and not want[name].any(), name
+        else:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, err_msg=name)
+    for name in unused:
+        absent = params[name]
+        explicit = Tensor(absent.data.copy(), requires_grad=True)
+        explicit.grad = np.zeros_like(absent.data)
+        AdamW({name: absent}).step(1e-3)
+        AdamW({name: explicit}).step(1e-3)
+        assert np.array_equal(absent.data, explicit.data), name
+
+
+def test_routed_experts_run_only_on_selected_rows(monkeypatch):
+    cfg = EncoderConfig(
+        strides=(2,), conv_channels=(8,), hidden=8, layers=2, heads=2,
+        moe=MoEConfig(n_shared=2, n_routed=4, k_routed=2, expert_dim=8),
+    )
+    rows = {}
+    expert_ffn = encoder._expert_ffn
+
+    def counting(u, params, prefix):
+        block, kind = prefix.rsplit(".", 1)
+        key = (block, kind.rstrip("0123456789"))
+        rows[key] = rows.get(key, 0) + u.shape[0]
+        return expert_ffn(u, params, prefix)
+
+    monkeypatch.setattr(encoder, "_expert_ffn", counting)
+    t = 13
+    transformer_encode(Tensor(np.random.default_rng(45).standard_normal((t, 8))), make_params(cfg), cfg)
+    for i in range(cfg.layers):
+        assert rows[(f"enc.blk{i}", "routed")] == cfg.moe.k_routed * t
+        assert rows[(f"enc.blk{i}", "shared")] == cfg.moe.n_shared * t
+
+
+def test_transformer_encode_calls_moe_mix_once_per_block(monkeypatch):
+    # the benchmark's encoder.moe_mix span wraps this module attribute
+    cfg = CodecConfig.toy().encoder
+    calls = []
+    mix = encoder.moe_mix
+    monkeypatch.setattr(encoder, "moe_mix", lambda *a, **k: calls.append(1) or mix(*a, **k))
+    params = make_params(cfg)
+    transformer_encode(Tensor(np.random.default_rng(46).standard_normal((7, cfg.hidden))), params, cfg)
+    assert len(calls) == cfg.layers
 
 
 def test_moe_config_validation():

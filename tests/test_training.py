@@ -321,6 +321,25 @@ def test_divergence_raises_with_step(tmp_path):
     assert "diverged at step" in str(e.value)
 
 
+def test_final_step_overflow_raises_divergence_without_final_checkpoint(tmp_path, monkeypatch):
+    cfg = StageConfig.acoustic(steps=3, batch_size=1, checkpoint_every=2)
+    step = AdamW.step
+
+    def overflowing_step(self, lr):
+        step(self, lr)
+        if self.t == cfg.steps:
+            self.params["enc.conv0.w"].data[0, 0, 0] = np.inf
+
+    monkeypatch.setattr(AdamW, "step", overflowing_step)
+    run = tmp_path / "run"
+    # the inf weight makes inf - inf in the first conv on the way to the error
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as e:
+        train_stage(micro_clips(), cfg, run, model_config=micro_config())
+    assert f"diverged at step {cfg.steps}" in str(e.value)
+    assert "ckpt_step2.tckp" in str(e.value)
+    assert not (run / "ckpt_final.tckp").exists()
+
+
 def test_warm_start_projection_fits_initial_frames():
     cfg = micro_config()
     clips = micro_clips()
