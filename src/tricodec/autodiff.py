@@ -4,12 +4,13 @@ Provides exactly the operators the codec graph needs: matmul (dense and
 batched), 1-D convolutions, the usual pointwise nonlinearities,
 reductions, indexing, ``index_add_rows`` (which adds a row block into
 given distinct rows: the scatter of the MoE's sparse expert dispatch),
-and a straight-through passthrough for the quantizer. Layer norm and
-rotary-position attention are single ops with closed-form backward
-passes. The graph is the implicit
-DAG linking each result tensor to its parents; ``backward`` walks it in
-exact reverse topological order. Graphs are confined to the context that
-built them; distinct graphs may run concurrently.
+and a straight-through passthrough for the quantizer. Layer norm,
+rotary-position attention and the Hann-windowed STFT magnitude of the
+mel loss (``stft_mag``) are single ops with closed-form backward passes.
+The graph is the implicit DAG linking each result tensor to its parents;
+``backward`` walks it in exact reverse topological order. Graphs are
+confined to the context that built them; distinct graphs may run
+concurrently.
 
 Inside a ``no_grad()`` block ops record no parents and no backward rule,
 so a forward pass that is never differentiated holds only the arrays it
@@ -68,9 +69,9 @@ __all__ = [
     "conv1d",
     "conv1d_transpose",
     "rope_attention",
+    "stft_mag",
     "stop_gradient",
     "passthrough",
-    "zero_grads",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -128,9 +129,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         tag = f" name={self.name}" if self.name else ""
@@ -729,6 +727,41 @@ def rope_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, he
 
 
 # ---------------------------------------------------------------------------
+# short-time Fourier transform
+
+
+def stft_mag(x: Tensor, fft_size: int, hop: int) -> Tensor:
+    """Hann-windowed STFT magnitude sqrt(|X|^2 + 1e-12) of a 1-D signal,
+    time-major (frames, fft_size // 2 + 1), over the frames that lie fully
+    inside it; the epsilon keeps silent bins smooth. Backward: a frame's
+    gradient is fft_size * irfft(g / |X| * X) times the window, with bins
+    1 .. fft_size/2 - 1 halved because irfft counts them twice; frame
+    gradients are overlap-added in ceil(fft_size / hop) slices of hop samples.
+    """
+    if x.ndim != 1 or x.shape[0] < fft_size:
+        raise ShapeError(f"stft_mag: need a 1-D signal of at least {fft_size} samples, got {x.shape}")
+    t = x.shape[0]
+    n_frames = (t - fft_size) // hop + 1
+    window = np.hanning(fft_size).astype(x.dtype)
+    spec = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(x.data, fft_size)[::hop] * window, axis=1)
+    # numpy < 2 promotes float32 to complex128
+    mag = np.sqrt(spec.real * spec.real + spec.imag * spec.imag + 1e-12).astype(x.dtype, copy=False)
+
+    def bwd(g):
+        z = g / mag * spec
+        z[:, 1 : fft_size // 2] *= 0.5
+        d = np.fft.irfft(z, n=fft_size, axis=1) * (fft_size * window)
+        nb = -(-fft_size // hop)
+        gx = np.zeros(max(t, (n_frames - 1 + nb) * hop), dtype=x.dtype)
+        blocks = gx[: (n_frames - 1 + nb) * hop].reshape(-1, hop)
+        for q in range(nb):
+            blocks[q : q + n_frames, : fft_size - q * hop] += d[:, q * hop : (q + 1) * hop]
+        return (gx[:t],)
+
+    return _make(mag, (x,), bwd, "stft_mag")
+
+
+# ---------------------------------------------------------------------------
 # backward pass
 
 
@@ -755,8 +788,8 @@ def _topo_order(root: Tensor) -> list:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
-    ``loss`` must be a scalar. Gradients accumulate, so call
-    ``zero_grads`` on the leaves between passes.
+    ``loss`` must be a scalar. Gradients accumulate, so set the leaves'
+    ``grad`` to None between passes.
     """
     if loss.size != 1:
         raise AutodiffError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -788,11 +821,6 @@ def backward(loss: Tensor) -> None:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
 
 
 # ---------------------------------------------------------------------------

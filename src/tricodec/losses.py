@@ -1,6 +1,7 @@
 """Training objectives and evaluation distances: span masking, the masked
-contrastive loss, time+mel reconstruction loss (differentiable), and
-metric-grade mel/STFT distances (plain numpy).
+contrastive loss, time+mel reconstruction loss (differentiable; the mel
+term is the fused ``autodiff.stft_mag`` op followed by the filterbank
+product), and metric-grade mel/STFT distances (plain numpy).
 
 Random choices (mask starts, distractors) come from an explicit numpy
 Generator owned by the caller, keeping every sampling decision replayable.
@@ -9,26 +10,23 @@ Generator owned by the caller, keeping every sampling decision replayable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .autodiff import (
     Tensor,
-    add,
     cosine_similarity,
     div,
     gather_rows,
     logsumexp,
     matmul,
-    mul,
     reshape,
+    stft_mag,
     sub,
     tabs,
     tmean,
-    tsqrt,
 )
-from .signal import DEFAULT_MEL, AudioClip, MelConfig, StftConfig, mel_filterbank, mel_spectrogram, stft_magnitude
+from .signal import DEFAULT_MEL, AudioClip, StftConfig, mel_filterbank, mel_spectrogram, stft_magnitude
 
 __all__ = [
     "MaskSpec",
@@ -126,45 +124,19 @@ def contrastive_loss(
 # differentiable reconstruction loss
 
 
-@lru_cache(maxsize=8)
-def _dft_tables(fft_size: int, dtype_name: str) -> tuple:
-    n = np.arange(fft_size)[:, None]
-    k = np.arange(fft_size // 2 + 1)[None, :]
-    ang = 2.0 * np.pi * n * k / fft_size
-    dt = np.dtype(dtype_name)
-    return (
-        np.cos(ang).astype(dt),
-        (-np.sin(ang)).astype(dt),
-        np.hanning(fft_size).astype(dt),
-    )
-
-
-def _mel_tensor(x: Tensor, sample_rate: int, cfg: MelConfig) -> Tensor:
+def _mel_tensor(x: Tensor, sample_rate: int) -> Tensor:
     """Mel magnitude frames of a waveform Tensor, differentiable; shape
-    (frames, n_mels). Magnitude uses sqrt(re^2 + im^2 + 1e-12) to stay
-    smooth at silent bins."""
-    fft, hop = cfg.stft.fft_size, cfg.stft.hop
-    T = x.shape[0]
-    n_frames = (T - fft) // hop + 1
-    idx = np.arange(n_frames)[:, None] * hop + np.arange(fft)[None, :]
-    cos_t, sin_t, window = _dft_tables(fft, x.dtype.name)
-    frames = mul(gather_rows(x, idx), Tensor(window))
-    re = matmul(frames, Tensor(cos_t))
-    im = matmul(frames, Tensor(sin_t))
-    mag = tsqrt(add(add(mul(re, re), mul(im, im)), Tensor(np.asarray(1e-12, dtype=x.dtype))))
-    fb = mel_filterbank(sample_rate, fft, cfg.n_mels, cfg.fmin, cfg.fmax)
-    return matmul(mag, Tensor(fb.T.astype(x.dtype.name)))
+    (frames, n_mels)."""
+    fft, hop = DEFAULT_MEL.stft.fft_size, DEFAULT_MEL.stft.hop
+    fb = mel_filterbank(sample_rate, fft, DEFAULT_MEL.n_mels, DEFAULT_MEL.fmin, DEFAULT_MEL.fmax)
+    return matmul(stft_mag(x, fft, hop), Tensor(fb.T.astype(x.dtype.name)))
 
 
 def _as_wave_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, AudioClip):
-        return Tensor(x.samples)
-    return Tensor(np.asarray(x))
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
-def reconstruction_terms(x, xhat, sample_rate: int = 24000, mel_cfg: MelConfig = DEFAULT_MEL) -> tuple:
+def reconstruction_terms(x, xhat, sample_rate: int = 24000) -> tuple:
     """(time-domain L1, mel-domain L1) between two waveforms, truncated to
     the shorter length. The mel term is zero for clips shorter than one
     analysis frame."""
@@ -173,9 +145,9 @@ def reconstruction_terms(x, xhat, sample_rate: int = 24000, mel_cfg: MelConfig =
     xt = xt[:n] if xt.shape[0] != n else xt
     yt = yt[:n] if yt.shape[0] != n else yt
     time_l1 = tmean(tabs(sub(xt, yt)))
-    if n < mel_cfg.stft.fft_size:
+    if n < DEFAULT_MEL.stft.fft_size:
         return time_l1, Tensor(np.zeros((), dtype=xt.dtype))
-    mel_l1 = tmean(tabs(sub(_mel_tensor(xt, sample_rate, mel_cfg), _mel_tensor(yt, sample_rate, mel_cfg))))
+    mel_l1 = tmean(tabs(sub(_mel_tensor(xt, sample_rate), _mel_tensor(yt, sample_rate))))
     return time_l1, mel_l1
 
 
@@ -190,20 +162,20 @@ def _matched_clips(x: AudioClip, xhat: AudioClip) -> tuple:
     return x.samples[:n], xhat.samples[:n], x.sample_rate
 
 
-def mel_distance(x: AudioClip, xhat: AudioClip, cfg: MelConfig = DEFAULT_MEL) -> float:
+def mel_distance(x: AudioClip, xhat: AudioClip) -> float:
     """Mean absolute difference of mel magnitude spectrograms."""
     a, b, sr = _matched_clips(x, xhat)
-    ma = mel_spectrogram(AudioClip(a, sr), cfg)
-    mb = mel_spectrogram(AudioClip(b, sr), cfg)
+    ma = mel_spectrogram(AudioClip(a, sr))
+    mb = mel_spectrogram(AudioClip(b, sr))
     return float(np.mean(np.abs(ma - mb)))
 
 
-def stft_distance(x: AudioClip, xhat: AudioClip, scales: tuple = (512, 1024, 2048)) -> float:
-    """Mean over FFT scales of the mean absolute magnitude difference; each
-    scale uses hop = fft/4."""
+def stft_distance(x: AudioClip, xhat: AudioClip) -> float:
+    """Mean over FFT sizes 512, 1024 and 2048 of the mean absolute magnitude
+    difference; each size uses hop = fft/4."""
     a, b, sr = _matched_clips(x, xhat)
     vals = []
-    for fft in scales:
+    for fft in (512, 1024, 2048):
         cfg = StftConfig(fft_size=fft, hop=fft // 4)
         sa = stft_magnitude(AudioClip(a, sr), cfg)
         sb = stft_magnitude(AudioClip(b, sr), cfg)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows, matmul, mul, passthrough, stop_gradient, sub, tmean, transpose, tsum
+from .autodiff import Tensor, gather_rows, matmul, mul, no_grad, passthrough, stop_gradient, sub, tmean, transpose, tsum
 from .signal import Domain
 
 __all__ = [
@@ -179,16 +179,17 @@ def quantize(
     domain's region. Ties break toward the lowest id. Returns
     (TokenStream, quantized frames); the quantized frames carry an
     identity-gradient passthrough, so encoder frames and selected
-    codewords both receive the downstream gradient.
+    codewords both receive the downstream gradient. The search builds no
+    graph; the codewords are ``simvq_embed`` of the ids, as in decoding.
     """
-    eff = effective_codewords(params)
+    with no_grad():
+        eff = effective_codewords(params)
     lo, hi = (0, cfg.codebook_size) if domain is None else cfg.region(domain)
     book = np.asarray(eff.data[lo:hi], dtype=np.float64)
     f = np.asarray(frames.data, dtype=np.float64)
 
     ids = lo + _nearest(f, book)
-    codewords = gather_rows(eff, ids)
-    quantized = passthrough(frames, codewords)
+    quantized = passthrough(frames, simvq_embed(ids, params))
     stream = TokenStream(
         ids=ids,
         frame_rate=frame_rate,

@@ -302,9 +302,7 @@ def _frame(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
             f"clip of {len(x)} samples is shorter than fft_size {fft_size}; "
             f"need at least one full analysis frame"
         )
-    n_frames = (len(x) - fft_size) // hop + 1
-    idx = np.arange(n_frames)[:, None] * hop + np.arange(fft_size)[None, :]
-    return x[idx]
+    return np.lib.stride_tricks.sliding_window_view(x, fft_size)[::hop]
 
 
 def stft_magnitude(clip: AudioClip, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:
@@ -349,10 +347,10 @@ def mel_spectrogram(clip: AudioClip, cfg: MelConfig = DEFAULT_MEL) -> np.ndarray
     return fb @ stft_magnitude(clip, cfg.stft)
 
 
-def spectral_flatness(clip: AudioClip, cfg: StftConfig = DEFAULT_STFT) -> float:
+def spectral_flatness(clip: AudioClip) -> float:
     """Mean per-frame geometric/arithmetic power ratio; 1 for white noise,
     near 0 for pure tones."""
-    mag = stft_magnitude(clip, cfg)
+    mag = stft_magnitude(clip)
     power = mag * mag + 1e-12
     geo = np.exp(np.mean(np.log(power), axis=0))
     arith = np.mean(power, axis=0)

@@ -31,6 +31,7 @@ from tricodec.autodiff import (
     reshape,
     rope_attention,
     sigmoid,
+    stft_mag,
     stop_gradient,
     tabs,
     tanh,
@@ -40,7 +41,6 @@ from tricodec.autodiff import (
     transpose,
     tsqrt,
     tsum,
-    zero_grads,
 )
 
 
@@ -181,13 +181,11 @@ def test_backward_rejects_nonscalar():
         backward(add(x, x))
 
 
-def test_grad_accumulates_and_zero_grads_clears():
+def test_grad_accumulates():
     x = Tensor(np.ones(4), requires_grad=True)
     backward(tsum(x))
     backward(tsum(x))
     assert np.allclose(x.grad, 2.0)
-    zero_grads([x])
-    assert x.grad is None
 
 
 def test_reused_subexpression_grad():
@@ -630,6 +628,38 @@ def test_rope_attention_head_divisibility_error():
         rope_attention(x, w, w, w, w, heads=4)
 
 
+@pytest.mark.parametrize("fft,hop,n", [(1024, 256, 1600), (64, 24, 150)])
+def test_stft_mag_grad_overlapping_frames(fft, hop, n):
+    # >= 3 overlapping frames and a length that is not a multiple of hop, so
+    # the overlap-add and the uncovered tail are both exercised; hop 24 does
+    # not divide fft 64, so the last slice is partial
+    assert (n - fft) // hop + 1 >= 3 and n % hop != 0
+    rng = np.random.default_rng(26)
+    w = Tensor(rand(rng, (n - fft) // hop + 1, fft // 2 + 1))
+    rep = grad_check(lambda x: tsum(mul(stft_mag(x, fft, hop), w)), Tensor(rand(rng, n)))
+    assert rep.passed, str(rep)
+
+
+def test_stft_mag_matches_signal_stft():
+    from tricodec.signal import AudioClip, StftConfig, stft_magnitude
+
+    rng = np.random.default_rng(27)
+    x = rand(rng, 3000) * 0.2
+    for fft, hop in [(1024, 256), (512, 128), (64, 24)]:
+        got = stft_mag(Tensor(x), fft, hop).data
+        want = stft_magnitude(AudioClip(x, 24000), StftConfig(fft, hop)).T
+        assert got.shape == want.shape
+        # sqrt(m^2 + 1e-12) - m lies in [0, 1e-6]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-6), (fft, hop)
+
+
+def test_stft_mag_rejects_short_or_2d_input():
+    with pytest.raises(ShapeError):
+        stft_mag(Tensor(np.ones(63)), 64, 16)
+    with pytest.raises(ShapeError):
+        stft_mag(Tensor(np.ones((128, 2))), 64, 16)
+
+
 # ---------------------------------------------------------------------------
 # finiteness and dtype rules
 
@@ -672,6 +702,11 @@ def test_float32_preserved_float64_default():
     assert rope_attention(x, w, w, w, w, heads=2).dtype == np.float32
     ones, zeros = Tensor(np.ones(8, dtype=np.float32)), Tensor(np.zeros(8, dtype=np.float32))
     assert layer_norm(x, ones, zeros).dtype == np.float32
+    wave = Tensor(rand(rng, 200).astype(np.float32), requires_grad=True)
+    mag = stft_mag(wave, 64, 16)
+    assert mag.dtype == np.float32
+    backward(tsum(mag))
+    assert wave.grad.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
