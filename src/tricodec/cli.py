@@ -18,6 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .autodiff import no_grad
 from .checkpoint import CheckpointError
 from .losses import ContrastiveConfig, MaskSpec, mel_distance, stft_distance
 from .model import Codec, CodecConfig
@@ -248,6 +249,7 @@ class EvalReport:
         return "\n".join(self.lines()) + "\n\n" + self.table()
 
 
+@no_grad()
 def run_eval(codec: Codec, entries, domain_ids: bool = False) -> EvalReport:
     """Round-trip every manifest clip and aggregate per-domain means.
 
@@ -265,11 +267,10 @@ def run_eval(codec: Codec, entries, domain_ids: bool = False) -> EvalReport:
     streams = []
     for wav_path, domain in entries:
         clip = resample(load_wav(wav_path), codec.config.sample_rate)
-        usable = (len(clip.samples) // codec.config.downsample) * codec.config.downsample
-        ref = AudioClip(clip.samples[:usable], codec.config.sample_rate)
-        stream = codec.encode(ref, domain=domain if domain_ids else None)
-        recon = codec.decode_tokens(stream)
-        streams.append(stream)
+        out = codec.forward(clip.samples, domain=domain if domain_ids else None, decode=True)
+        ref = AudioClip(out.samples, codec.config.sample_rate)
+        recon = AudioClip(out.wave.data, codec.config.sample_rate)
+        streams.append(out.stream)
         mel_acc.setdefault(domain.value, []).append(mel_distance(ref, recon))
         stft_acc.setdefault(domain.value, []).append(stft_distance(ref, recon))
         report.clip_count += 1

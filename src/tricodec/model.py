@@ -1,5 +1,6 @@
 """Codec assembly: configuration presets, parameter ownership, and the
-end-to-end encode/quantize/decode paths.
+one forward pass (encode, quantize, optionally decode) that training,
+evaluation and inference share.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .quantizer import (
 )
 from .signal import AudioClip, Domain
 
-__all__ = ["CodecConfig", "Codec"]
+__all__ = ["CodecConfig", "ForwardPass", "Codec"]
 
 # encoder and quantizer config keys of removed options, ignored on load
 _REMOVED_KEYS = ("mlp_dim", "base_mean", "base_std")
@@ -115,6 +116,21 @@ class CodecConfig:
 _FROZEN = ("vq.base",)
 
 
+@dataclass
+class ForwardPass:
+    """One clip's ``Codec.forward`` pass. ``samples`` is the input as encoded
+    (codec dtype, whole frames); ``codewords`` is ``simvq_embed(stream.ids)``,
+    which ``quantized`` forwards with a straight-through gradient to ``frames``."""
+
+    samples: np.ndarray
+    conv_feats: Tensor
+    frames: Tensor
+    stream: TokenStream
+    codewords: Tensor
+    quantized: Tensor
+    wave: Optional[Tensor] = None  # set only when the call decodes
+
+
 class Codec:
     """Owns the parameter set and exposes the encode/quantize/decode paths.
 
@@ -123,11 +139,11 @@ class Codec:
     Weights are immutable during inference, so concurrent encode/decode
     calls are safe; training steps require exclusive access.
 
-    ``encode`` and ``decode_tokens`` (and so ``reconstruct``) are the
-    inference paths: they run under ``no_grad`` and build no backward
-    graph, so they hold only the forward pass's own arrays.
-    ``encode_frames``, ``quantize`` and ``decode_frames`` build the graph
-    that training differentiates.
+    ``forward`` is the one pass from waveform to tokens and, when asked,
+    back to a waveform: ``encode_frames``, ``quantize`` and ``decode_frames``
+    once each, every intermediate returned in one ``ForwardPass`` that
+    training, ``encode``, ``reconstruct`` and ``eval`` read. It builds the
+    graph training differentiates; inference runs it under ``no_grad``.
     """
 
     def __init__(self, config: CodecConfig, seed: int = 0, dtype=np.float64, params: Optional[dict] = None):
@@ -167,27 +183,43 @@ class Codec:
     def decode_frames(self, quantized: Tensor) -> Tensor:
         return decode(quantized, self.params, self.config.decoder)
 
-    @no_grad()
-    def encode(self, clip: AudioClip, domain: Optional[Domain] = None) -> TokenStream:
-        """Clip (already at the codec rate) -> token stream."""
+    def forward(self, samples, domain: Optional[Domain] = None, mask=None, decode=False) -> ForwardPass:
+        """Waveform at the codec rate -> ``ForwardPass``. Samples past the
+        last whole frame are dropped; ``domain`` restricts the search to its
+        region; ``mask`` marks frames replaced by the mask embedding."""
+        x = np.asarray(samples, dtype=self.dtype)
+        if len(x) >= self.config.downsample:  # encode_frames rejects shorter clips by length
+            x = x[: len(x) - len(x) % self.config.downsample]
+        frames, conv_feats = self.encode_frames(x, mask=mask)
+        stream, quantized = self.quantize(frames, domain=domain)
+        # quantized is passthrough(frames, codewords); without a graph it
+        # holds the codeword values itself
+        codewords = quantized._parents[1] if quantized._parents else quantized
+        wave = self.decode_frames(quantized) if decode else None
+        return ForwardPass(x, conv_feats, frames, stream, codewords, quantized, wave)
+
+    def _at_codec_rate(self, clip: AudioClip) -> np.ndarray:
         if clip.sample_rate != self.config.sample_rate:
             raise ValueError(
                 f"clip rate {clip.sample_rate} != codec rate {self.config.sample_rate}; resample first"
             )
-        frames, _ = self.encode_frames(clip.samples.astype(self.dtype))
-        stream, _ = self.quantize(frames, domain=domain)
-        return stream
+        return clip.samples
+
+    @no_grad()
+    def encode(self, clip: AudioClip, domain: Optional[Domain] = None) -> TokenStream:
+        """Clip (already at the codec rate) -> token stream."""
+        return self.forward(self._at_codec_rate(clip), domain=domain).stream
 
     @no_grad()
     def decode_tokens(self, stream: TokenStream) -> AudioClip:
-        codewords = simvq_embed(stream.ids, self.params)
-        wave = self.decode_frames(codewords)
-        return AudioClip(
-            samples=np.asarray(wave.data, dtype=np.float64), sample_rate=self.config.sample_rate
-        )
+        wave = self.decode_frames(simvq_embed(stream.ids, self.params))
+        return AudioClip(wave.data, self.config.sample_rate)
 
+    @no_grad()
     def reconstruct(self, clip: AudioClip, domain: Optional[Domain] = None) -> AudioClip:
-        return self.decode_tokens(self.encode(clip, domain=domain))
+        """Encode and decode in one forward pass; the ids are not projected again."""
+        out = self.forward(self._at_codec_rate(clip), domain=domain, decode=True)
+        return AudioClip(out.wave.data, self.config.sample_rate)
 
     # ----- persistence ----------------------------------------------------
 

@@ -25,7 +25,7 @@ from .losses import (
     sample_mask,
 )
 from .model import Codec, CodecConfig
-from .quantizer import alignment_loss, commitment_loss, simvq_embed
+from .quantizer import alignment_loss, commitment_loss, simvq_embed  # noqa: F401 - perfbench wraps it
 from .signal import AudioClip, Domain, spectral_flatness
 
 __all__ = [
@@ -216,53 +216,37 @@ def _save_state(
     ckpt.save_tensors(path, arrays)
 
 
-def _truncate(clip: AudioClip, max_seconds: float, downsample: int) -> np.ndarray:
-    n = min(len(clip.samples), int(max_seconds * clip.sample_rate))
-    n = (n // downsample) * downsample
-    if n < downsample:
-        raise ValueError(f"clip too short to train on: {len(clip.samples)} samples")
-    return clip.samples[:n]
+def _capped(clip: AudioClip, max_seconds: float) -> np.ndarray:
+    """The clip's first ``max_seconds``; ``Codec.forward`` cuts them to whole frames."""
+    return clip.samples[: int(max_seconds * clip.sample_rate)]
 
 
 def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.random.Generator) -> dict:
-    """Forward pass and loss terms for one clip. Quantization is restricted
-    to the clip's domain region (training always has domain labels). Only
-    the semantic stage masks frames and adds the contrastive term."""
-    if clip.domain is None:
-        raise TrainingError("training clips must carry a domain label")
-    x = _truncate(clip, cfg.max_clip_seconds, codec.config.downsample).astype(codec.dtype)
+    """Loss terms for one clip, all read from one ``Codec.forward`` pass.
+    Quantization is restricted to the clip's domain region (``train_stage``
+    checks every clip's label). Only the semantic stage masks frames and
+    adds the contrastive term."""
+    x = _capped(clip, cfg.max_clip_seconds)
     semantic = cfg.stage is Stage.SEMANTIC
+    maskset = sample_mask(len(x) // codec.config.downsample, cfg.mask, rng) if semantic else None
+    out = codec.forward(x, domain=clip.domain, mask=maskset.mask if semantic else None, decode=True)
 
-    maskset = None
-    if semantic:
-        n_frames = len(x) // codec.config.downsample
-        maskset = sample_mask(n_frames, cfg.mask, rng)
-
-    frames, conv_feats = codec.encode_frames(x, mask=maskset.mask if maskset else None)
-    stream, quantized = codec.quantize(frames, domain=clip.domain)
-    wave = codec.decode_frames(quantized)
-
-    time_l1, mel_l1 = reconstruction_terms(Tensor(x), wave, sample_rate=codec.config.sample_rate)
+    sample_rate = codec.config.sample_rate
+    time_l1, mel_l1 = reconstruction_terms(Tensor(out.samples), out.wave, sample_rate=sample_rate)
     recon = add(time_l1, mul(Tensor(np.asarray(cfg.lam_mel, dtype=codec.dtype)), mel_l1))
-    commit = commitment_loss(frames, quantized, beta=cfg.beta_commit)
-    align = alignment_loss(frames, simvq_embed(stream.ids, codec.params))
+    commit = commitment_loss(out.frames, out.quantized, beta=cfg.beta_commit)
+    align = alignment_loss(out.frames, out.codewords)
     total = add(recon, add(commit, align))
 
-    terms = {
-        "recon_time": time_l1,
-        "recon_mel": mel_l1,
-        "recon": recon,
-        "commit": commit,
-        "align": align,
-    }
+    terms = {"recon_time": time_l1, "recon_mel": mel_l1, "recon": recon, "commit": commit, "align": align}
     if semantic:
         k_eff = min(cfg.contrastive.n_distractors, maskset.count - 1)
         if k_eff < 1:
             raise TrainingError(
-                f"only {maskset.count} masked frames; clip too short for contrastive training"
+                f"only {maskset.count} masked frames; clip too short for the contrastive loss"
             )
         ccfg = replace(cfg.contrastive, n_distractors=k_eff)
-        lm = contrastive_loss(quantized, conv_feats, maskset, ccfg, rng)
+        lm = contrastive_loss(out.quantized, out.conv_feats, maskset, ccfg, rng)
         terms["contrastive"] = lm
         total = add(total, mul(Tensor(np.asarray(cfg.lam_c, dtype=codec.dtype)), lm))
     terms["loss"] = total
@@ -272,16 +256,10 @@ def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.rand
 @no_grad()
 def dataset_recon_loss(codec: Codec, clips: Sequence[AudioClip], cfg: StageConfig) -> float:
     """Mean reconstruction loss (time + lam_mel*mel) over all clips,
-    domain-quantized, no masking. Deterministic; used for trend checks."""
-    vals = []
-    for clip in clips:
-        x = _truncate(clip, cfg.max_clip_seconds, codec.config.downsample).astype(codec.dtype)
-        frames, _ = codec.encode_frames(x)
-        _, quantized = codec.quantize(frames, domain=clip.domain)
-        wave = codec.decode_frames(quantized)
-        time_l1, mel_l1 = reconstruction_terms(Tensor(x), wave, sample_rate=codec.config.sample_rate)
-        vals.append(float(time_l1.data) + cfg.lam_mel * float(mel_l1.data))
-    return float(np.mean(vals))
+    domain-quantized, no masking: the training term, read without a graph.
+    Deterministic; used for trend checks."""
+    unmasked = replace(cfg, stage=Stage.ACOUSTIC)
+    return float(np.mean([float(_sample_losses(codec, c, unmasked, None)["recon"].data) for c in clips]))
 
 
 @no_grad()
@@ -296,22 +274,11 @@ def dataset_contrastive_loss(
     """Mean masked-contrastive loss over all clips with a fixed mask seed.
 
     Deterministic given (model, clips, seed); used to measure how well masked
-    positions identify their own unmasked conv feature among distractors."""
+    positions identify their own unmasked conv feature among distractors.
+    This is the semantic stage's training term, read without a graph."""
+    cfg = StageConfig.semantic(mask=mask, contrastive=contrastive, max_clip_seconds=max_clip_seconds)
     rng = np.random.default_rng(seed)
-    vals = []
-    for clip in clips:
-        x = _truncate(clip, max_clip_seconds, codec.config.downsample).astype(codec.dtype)
-        maskset = sample_mask(len(x) // codec.config.downsample, mask, rng)
-        frames, conv_feats = codec.encode_frames(x, mask=maskset.mask)
-        _, quantized = codec.quantize(frames, domain=clip.domain)
-        k_eff = min(contrastive.n_distractors, maskset.count - 1)
-        if k_eff < 1:
-            raise TrainingError(
-                f"only {maskset.count} masked frames; clip too short for contrastive eval"
-            )
-        ccfg = replace(contrastive, n_distractors=k_eff)
-        vals.append(float(contrastive_loss(quantized, conv_feats, maskset, ccfg, rng).data))
-    return float(np.mean(vals))
+    return float(np.mean([float(_sample_losses(codec, c, cfg, rng)["contrastive"].data) for c in clips]))
 
 
 @no_grad()
@@ -331,11 +298,8 @@ def _warm_start_projection(codec: Codec, clips: Sequence[AudioClip], cfg: StageC
     rng = np.random.default_rng((cfg.seed, 0x779A))
     by_domain: dict = {}
     for clip in clips:
-        if clip.domain is None:
-            raise TrainingError("training clips must carry a domain label")
-        x = _truncate(clip, cfg.max_clip_seconds, codec.config.downsample).astype(codec.dtype)
-        f, _ = codec.encode_frames(x)
-        by_domain.setdefault(clip.domain, []).append(f.data)
+        out = codec.forward(_capped(clip, cfg.max_clip_seconds), domain=clip.domain)
+        by_domain.setdefault(clip.domain, []).append(out.frames.data)
     base = codec.params["vq.base"].data
     rows, targets = [], []
     for domain, flist in by_domain.items():
@@ -375,6 +339,9 @@ def train_stage(
     """
     if not clips:
         raise TrainingError("empty training set")
+    unlabeled = sum(clip.domain is None for clip in clips)
+    if unlabeled:
+        raise TrainingError(f"{unlabeled} of {len(clips)} training clips carry no domain label")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     log_path = run_dir / "train_log.jsonl"
@@ -387,6 +354,11 @@ def train_stage(
         arrays = ckpt.load_tensors(init_from)
         codec = Codec.load(init_from)
         stage_done = int(arrays.get("meta/stage_done", np.asarray(0)))
+        if cfg.stage is not Stage.ACOUSTIC and stage_done < Stage.ACOUSTIC.value:
+            raise StageOrderError(
+                f"{cfg.stage.name.lower()} stage requires a checkpoint with a completed acoustic "
+                f"stage; got one at stage_done={stage_done}"
+            )
         in_progress = int(arrays.get("meta/stage_in_progress", np.asarray(0)))
         saved_step = int(arrays.get("meta/step", np.asarray(0)))
         if in_progress == cfg.stage.value and saved_step < cfg.steps:
@@ -409,12 +381,6 @@ def train_stage(
         codec = Codec(model_config, seed=cfg.seed)
         _warm_start_projection(codec, clips, cfg)
 
-    if cfg.stage in (Stage.SEMANTIC, Stage.FINETUNE) and init_from is not None:
-        if stage_done < Stage.ACOUSTIC.value:
-            raise StageOrderError(
-                f"{cfg.stage.name.lower()} stage requires a checkpoint with a completed acoustic "
-                f"stage; got one at stage_done={stage_done}"
-            )
     if opt is None:
         opt = AdamW(codec.trainable(), betas=cfg.betas, weight_decay=cfg.weight_decay)
         rng = np.random.default_rng(cfg.seed)

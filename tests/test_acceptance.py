@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from tricodec.autodiff import Tensor, backward, grad_check, mul, tsum
+from tricodec.autodiff import Tensor, backward, grad_check, mul, no_grad, tsum
 from tricodec.cli import run_eval
 from tricodec.decoder import DecoderConfig, decode, init_decoder_params
 from tricodec.encoder import EncoderConfig, MoEConfig, moe_ffn, moe_gate, transformer_encode
@@ -25,7 +25,13 @@ from tricodec.losses import (
     sample_mask,
 )
 from tricodec.model import Codec, CodecConfig
-from tricodec.quantizer import QuantizerConfig, init_quantizer_params, quantize, utilization
+from tricodec.quantizer import (
+    QuantizerConfig,
+    effective_codewords,
+    init_quantizer_params,
+    quantize,
+    utilization,
+)
 from tricodec.signal import AudioClip, Domain, gen_toy_dataset, save_wav
 from tricodec.training import StageConfig, dataset_contrastive_loss, train_stage
 
@@ -169,27 +175,46 @@ def semantic_recipe():
     )
 
 
-def codebook_use(codec):
-    """Collapse readout on the training clips, each quantized in its own
-    region: live codes per region (speech/music/sound) and mean distinct ids
-    per clip."""
+def readouts(codec):
+    """Print-only readouts on the training clips, all from one region-searched,
+    unmasked forward pass per clip: live codes per region (speech/music/sound)
+    and mean distinct ids per clip (the collapse readout); mean distinct ids
+    at the masked positions of A4's mask draw (seed 0); each region's offset
+    from its domain's frame centroid to the region's book centroid; and the
+    perfect-prediction bound, the A4 loss with these quantized unmasked
+    frames as anchors (mask seed 0, K = 16)."""
     qcfg = codec.config.quantizer
-    streams = [codec.encode(clip, domain=clip.domain) for clip in TOY_TRAIN]
-    live = []
+    rng = np.random.default_rng(0)
+    streams, masked_ids, bound = [], [], []
+    frames = {domain: [] for domain in Domain}
+    with no_grad():
+        book = effective_codewords(codec.params).data
+        for clip in TOY_TRAIN:
+            out = codec.forward(clip.samples, domain=clip.domain)
+            streams.append(out.stream)
+            frames[clip.domain].append(out.frames.data)
+            maskset = sample_mask(len(out.stream), MaskSpec(p=0.1, span=5), rng)
+            masked_ids.append(len(np.unique(out.stream.ids[maskset.mask])))
+            ccfg = ContrastiveConfig(n_distractors=min(16, maskset.count - 1))
+            lm = contrastive_loss(out.quantized, out.conv_feats, maskset, ccfg, rng)
+            bound.append(float(lm.data))
+    live, offsets = [], []
     for domain in (Domain.SPEECH, Domain.MUSIC, Domain.SOUND):
         lo, hi = qcfg.region(domain)
         live.append(round(utilization(streams, qcfg, domain) * (hi - lo)))
+        centroid = np.concatenate(frames[domain]).mean(axis=0)
+        offsets.append(np.linalg.norm(centroid - book[lo:hi].mean(axis=0)))
     per_clip = np.mean([utilization([s], qcfg) * qcfg.codebook_size for s in streams])
-    return f"live codes {'/'.join(map(str, live))}, {per_clip:.1f} distinct ids per clip"
+    return (
+        f"live codes {'/'.join(map(str, live))}, {per_clip:.1f} distinct ids per clip, "
+        f"{np.mean(masked_ids):.1f} at masked positions; region offset from the domain frame "
+        f"centroid {'/'.join(f'{o:.2f}' for o in offsets)}; perfect-prediction bound "
+        f"{np.mean(bound):.4f}"
+    )
 
 
 def held_mel(codec):
-    vals = []
-    for clip in TOY_HELD:
-        n = (len(clip.samples) // codec.config.downsample) * codec.config.downsample
-        ref = AudioClip(clip.samples[:n], clip.sample_rate, clip.domain)
-        vals.append(mel_distance(ref, codec.reconstruct(ref)))
-    return float(np.mean(vals))
+    return float(np.mean([mel_distance(clip, codec.reconstruct(clip)) for clip in TOY_HELD]))
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +233,7 @@ def test_a3_toy_acoustic_training_trend(a3_run):
         for name in ("ckpt_step0.tckp", "ckpt_step250.tckp", "ckpt_final.tckp")
     ]
     violations = sum(1 for a, b in zip(mels, mels[1:]) if b > a)
-    use = codebook_use(Codec.load(a3_run["result"].final_checkpoint))
+    use = readouts(Codec.load(a3_run["result"].final_checkpoint))
     dt = a3_run["seconds"]
     ok = ratio <= 0.5 and violations <= 1 and dt < 1200.0
     print(
@@ -236,7 +261,7 @@ def test_a4_semantic_stage_beats_uniform(a3_run):
     mel_before = held_mel(Codec.load(a3_run["result"].final_checkpoint))
     mel_after = held_mel(codec)
     dt = time.time() - t0
-    use = codebook_use(codec)
+    use = readouts(codec)
     ok = lm < bound and mel_after < 1.2 * mel_before and dt < 900.0
     print(
         f"A4 {'PASS' if ok else 'FAIL'}: 200 semantic steps with K=16 reach mean "

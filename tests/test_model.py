@@ -205,6 +205,64 @@ def test_inference_paths_match_grad_mode_path():
         assert np.array_equal(codec.decode_tokens(got).samples, wave.data)
 
 
+def _count_calls(monkeypatch, owner, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("mask", [False, True])
+def test_forward_record_matches_explicit_chain(mask):
+    # every field of the record equals the encode_frames -> quantize ->
+    # decode_frames chain run by hand, bit for bit, with the graph built
+    codec = Codec(micro_config(), seed=6)
+    x = tone(2003, hz=510.0).samples
+    m = np.zeros(500, dtype=bool)
+    m[100:140] = mask
+    out = codec.forward(x, domain=Domain.MUSIC, mask=m if mask else None, decode=True)
+
+    whole = x[:2000]
+    frames, conv = codec.encode_frames(whole, mask=m if mask else None)
+    stream, quantized = codec.quantize(frames, domain=Domain.MUSIC)
+    wave = codec.decode_frames(quantized)
+    assert np.array_equal(out.samples, whole)
+    for got, want in ((out.conv_feats, conv), (out.frames, frames), (out.quantized, quantized),
+                      (out.wave, wave), (out.codewords, simvq_embed(stream.ids, codec.params))):
+        assert got.requires_grad
+        assert np.array_equal(got.data, want.data)
+    assert np.array_equal(out.stream.ids, stream.ids)
+    assert out.codewords is out.quantized._parents[1]  # the codewords quantize projected
+    assert codec.forward(x, domain=Domain.MUSIC).wave is None
+
+
+def test_encode_and_reconstruct_run_one_pass_each(monkeypatch):
+    codec = Codec(micro_config(), seed=6)
+    clip = tone(2000, hz=510.0)
+    want_ids = codec.encode(clip).ids
+    want_wave = codec.decode_tokens(codec.encode(clip)).samples
+    counts = _count_calls(monkeypatch, Codec, ("encode_frames", "quantize", "decode_frames"))
+    assert np.array_equal(codec.encode(clip).ids, want_ids)
+    assert counts == {"encode_frames": 1, "quantize": 1, "decode_frames": 0}
+    # reconstruct decodes the selected codewords: same samples as decode_tokens
+    assert np.array_equal(codec.reconstruct(clip).samples, want_wave)
+    assert counts == {"encode_frames": 2, "quantize": 2, "decode_frames": 1}
+
+
+def test_encode_drops_the_partial_last_frame():
+    # samples past the last whole frame are not encoded, as in training and
+    # eval; this loud tail would change the last id if it reached the encoder
+    codec = Codec(micro_config(), seed=6)
+    whole = tone(2000, hz=510.0)
+    clip = AudioClip(np.concatenate([whole.samples, [-1.0, 1.0, -1.0]]), 24000)
+    assert np.array_equal(codec.encode(clip).ids, codec.encode(whole).ids)
+    assert np.array_equal(codec.reconstruct(clip).samples, codec.reconstruct(whole).samples)
+
+
 def test_decode_depends_only_on_ids():
     # same ids through a different frames tensor give bit-identical audio
     codec = Codec(micro_config(), seed=2)

@@ -313,6 +313,47 @@ def test_unlabeled_clip_rejected(tmp_path):
     assert "domain" in str(e.value)
 
 
+def test_resumed_stage_rejects_unlabeled_clip_before_any_write(acoustic_run, tmp_path):
+    # labels are checked at entry, before the step-0 loss, checkpoint or log
+    cfg, res = acoustic_run
+    clips = micro_clips() + [AudioClip(micro_clips()[0].samples, 24000, domain=None)]
+    run = tmp_path / "ft"
+    run.mkdir()
+    fcfg = StageConfig.finetune(steps=1, batch_size=1, checkpoint_every=1)
+    with pytest.raises(TrainingError) as e:
+        train_stage(clips, fcfg, run, init_from=res.final_checkpoint)
+    assert "domain" in str(e.value)
+    assert list(run.iterdir()) == []
+
+
+@pytest.mark.parametrize("stage", [Stage.ACOUSTIC, Stage.SEMANTIC])
+def test_training_clip_runs_each_phase_once(stage, monkeypatch):
+    # the benchmark times encode_frames + quantize as the encode phase and
+    # decode_frames as the decode phase; one clip runs each once and
+    # projects its selected codewords once
+    from tricodec import quantizer, training
+
+    counts = dict.fromkeys(("encode_frames", "quantize", "decode_frames", "simvq_embed"), 0)
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("encode_frames", "quantize", "decode_frames"):
+        monkeypatch.setattr(Codec, name, counted(getattr(Codec, name), name))
+    embed = counted(quantizer.simvq_embed, "simvq_embed")
+    for owner in (quantizer, training):
+        monkeypatch.setattr(owner, "simvq_embed", embed)
+    codec = Codec(micro_config(), seed=4)
+    cfg = StageConfig(stage=stage, mask=MaskSpec(p=0.1, span=5),
+                      contrastive=ContrastiveConfig(n_distractors=4))
+    terms = _sample_losses(codec, micro_clips()[0], cfg, np.random.default_rng(0))
+    assert ("contrastive" in terms) == (stage is Stage.SEMANTIC)
+    assert counts == {"encode_frames": 1, "quantize": 1, "decode_frames": 1, "simvq_embed": 1}
+
+
 def test_divergence_raises_with_step(tmp_path):
     cfg = StageConfig.acoustic(steps=5, batch_size=1, lr=1e20, lr_min=1e19)
     # the blow-up legitimately overflows float64 on the way to the error
