@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import checkpoint as ckpt
+from . import quantizer
 from .autodiff import Tensor, no_grad
 from .decoder import DecoderConfig, decode, decoder_param_shapes, init_decoder_params
 from .encoder import EncoderConfig, MoEConfig, encode_frames, encoder_param_shapes, init_encoder_params
@@ -139,6 +140,14 @@ class Codec:
     Weights are immutable during inference, so concurrent encode/decode
     calls are safe; training steps require exclusive access.
 
+    ``quantize`` searches an effective book that the codec builds on its
+    first call and keeps until a ``vq.*`` parameter changes: the key is the
+    identity of the ``vq.base`` array, which nothing writes in place, and a
+    copy of every trainable ``vq.*`` parameter, compared by value, so both
+    an in-place write and a replaced array rebuild it. Concurrent encodes
+    stay safe: racing first calls build the same book, and the cache is
+    replaced by one assignment. The cache is never checkpointed.
+
     ``forward`` is the one pass from waveform to tokens and, when asked,
     back to a waveform: ``encode_frames``, ``quantize`` and ``decode_frames``
     once each, every intermediate returned in one ``ForwardPass`` that
@@ -160,6 +169,7 @@ class Codec:
             name: arr if isinstance(arr, Tensor) else Tensor(arr, requires_grad=name not in _FROZEN)
             for name, arr in params.items()
         }
+        self._book_cache = None  # (vq.base array, {name: copy of trainable vq.*}, effective_book)
 
     def trainable(self) -> dict:
         return {k: v for k, v in self.params.items() if v.requires_grad}
@@ -170,6 +180,25 @@ class Codec:
         """Waveform -> (latent frames, conv features); see encoder module."""
         return encode_frames(samples, self.params, self.config.encoder, mask=mask)
 
+    def _effective_book(self) -> tuple:
+        """``quantizer.effective_book`` of the current parameters, rebuilt
+        only when the cache key no longer matches them."""
+        base = self.params["vq.base"].data
+        live = {k: t.data for k, t in self.params.items() if k.startswith("vq.") and t.requires_grad}
+        cache = self._book_cache
+        if (
+            cache is not None
+            and cache[0] is base
+            and cache[1].keys() == live.keys()
+            and all(np.array_equal(cache[1][k], v) for k, v in live.items())
+        ):
+            return cache[2]
+        key = {k: v.copy() for k, v in live.items()}  # copied before building
+        self._book_cache = None  # frees a stale book before the next is built
+        book = quantizer.effective_book(self.params)
+        self._book_cache = (base, key, book)
+        return book
+
     def quantize(self, frames: Tensor, domain: Optional[Domain] = None) -> tuple:
         return quantize(
             frames,
@@ -178,6 +207,7 @@ class Codec:
             domain=domain,
             frame_rate=self.config.tokens_per_second,
             sample_rate=self.config.sample_rate,
+            book=self._effective_book(),
         )
 
     def decode_frames(self, quantized: Tensor) -> Tensor:

@@ -27,6 +27,7 @@ __all__ = [
     "quantizer_param_shapes",
     "init_quantizer_params",
     "effective_codewords",
+    "effective_book",
     "simvq_embed",
     "quantize",
     "commitment_loss",
@@ -122,6 +123,15 @@ def effective_codewords(params: dict) -> Tensor:
     return matmul(params["vq.base"], transpose(params["vq.proj"]))
 
 
+def effective_book(params: dict) -> tuple:
+    """(codewords, squared row norms) of the whole effective book as float64
+    arrays, built without a graph: the search's inputs, which depend only on
+    the ``vq.*`` parameters."""
+    with no_grad():
+        book = np.asarray(effective_codewords(params).data, dtype=np.float64)
+    return book, np.sum(book * book, axis=1)
+
+
 def simvq_embed(ids, params: dict) -> Tensor:
     """Effective codeword(s) for ``ids``: projection applied to base rows.
 
@@ -136,9 +146,10 @@ def simvq_embed(ids, params: dict) -> Tensor:
     return matmul(gather_rows(params["vq.base"], ids), transpose(params["vq.proj"]))
 
 
-def _nearest(f: np.ndarray, book: np.ndarray) -> np.ndarray:
+def _nearest(f: np.ndarray, book: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """Row index of the nearest book row for each row of ``f`` under squared
-    Euclidean distance, ties to the lowest index.
+    Euclidean distance, ties to the lowest index; ``sq`` holds the book's
+    squared row norms.
 
     A GEMM screen ranks by the expanded ``-2 f.c + |c|^2``, whose rounding
     depends on how BLAS blocks the product, so bit-identical codewords can
@@ -146,8 +157,9 @@ def _nearest(f: np.ndarray, book: np.ndarray) -> np.ndarray:
     float64 error bound of its row minimum is therefore re-ranked by the
     exact sum of squared differences, which is the same for identical rows.
     """
-    sq = np.sum(book * book, axis=1)
-    d = -2.0 * (f @ book.T) + sq[None, :]
+    d = f @ book.T
+    d *= -2.0
+    d += sq
     dmin = d.min(axis=1)
     # |error| of each screened value <= (D + 2) eps (|f|^2 + 2 |c|^2); doubled
     # because two screened values are compared
@@ -172,6 +184,7 @@ def quantize(
     domain: Optional[Domain] = None,
     frame_rate: int = 75,
     sample_rate: int = 24000,
+    book: Optional[tuple] = None,
 ) -> tuple:
     """Nearest-codeword assignment under squared Euclidean distance.
 
@@ -181,14 +194,14 @@ def quantize(
     identity-gradient passthrough, so encoder frames and selected
     codewords both receive the downstream gradient. The search builds no
     graph; the codewords are ``simvq_embed`` of the ids, as in decoding.
+    ``book`` is ``effective_book(params)`` when the caller keeps it; without
+    it the call builds the book itself.
     """
-    with no_grad():
-        eff = effective_codewords(params)
+    codewords, sq = effective_book(params) if book is None else book
     lo, hi = (0, cfg.codebook_size) if domain is None else cfg.region(domain)
-    book = np.asarray(eff.data[lo:hi], dtype=np.float64)
     f = np.asarray(frames.data, dtype=np.float64)
 
-    ids = lo + _nearest(f, book)
+    ids = lo + _nearest(f, codewords[lo:hi], sq[lo:hi])
     quantized = passthrough(frames, simvq_embed(ids, params))
     stream = TokenStream(
         ids=ids,

@@ -268,7 +268,11 @@ def resample(clip: AudioClip, target_rate: int, taps: int = 64) -> AudioClip:
     """Rational-rate resampling with a 64-tap windowed-sinc polyphase filter.
 
     Duration is preserved within one output sample; equal rates return the
-    samples unchanged.
+    samples unchanged. Output n reads the ``taps`` padded inputs from
+    floor(n·down/up) through filter phase n·down mod up. The outputs
+    n ≡ r (mod up) share one phase and read windows ``down`` inputs apart,
+    so each residue r is one matrix-vector product over a strided view of
+    the padded input; no window array is built.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -283,13 +287,14 @@ def resample(clip: AudioClip, target_rate: int, taps: int = 64) -> AudioClip:
 
     half = taps // 2
     filters = _polyphase_filters(up, down, taps)
-    padded = np.pad(clip.samples, (half - 1, taps))
-    steps = np.arange(n_out, dtype=np.int64) * down
-    bases = steps // up
-    phases = steps % up
-    windows = padded[bases[:, None] + np.arange(taps)[None, :]]
-    out = np.einsum("nt,nt->n", windows, filters[phases])
-    return AudioClip(samples=np.clip(out, -1.0, 1.0), sample_rate=target_rate, domain=clip.domain)
+    padded = np.pad(np.asarray(clip.samples, dtype=np.float64), (half - 1, taps))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
+    out = np.empty(n_out)
+    for r in range(min(up, n_out)):
+        dst = out[r::up]
+        np.matmul(windows[r * down // up :: down][: len(dst)], filters[r * down % up], out=dst)
+    np.clip(out, -1.0, 1.0, out=out)
+    return AudioClip(samples=out, sample_rate=target_rate, domain=clip.domain)
 
 
 # ---------------------------------------------------------------------------

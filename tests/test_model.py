@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from tricodec import checkpoint as ckpt
+from tricodec import quantizer
 from tricodec.checkpoint import CheckpointError
 from tricodec.decoder import DecoderConfig
 from tricodec.encoder import EncoderConfig, MoEConfig
 from tricodec.model import Codec, CodecConfig
-from tricodec.quantizer import QuantizerConfig, simvq_embed
+from tricodec.autodiff import Tensor
+from tricodec.quantizer import QuantizerConfig, quantize, simvq_embed
 from tricodec.signal import AudioClip, Domain
 
 
@@ -295,3 +297,61 @@ def test_checkpoint_with_removed_config_keys_loads(tmp_path):
     assert loaded.config == codec.config
     clip = tone(4800, hz=330.0)
     assert np.array_equal(loaded.encode(clip).ids, codec.encode(clip).ids)
+
+
+# ---------------------------------------------------------------------------
+# effective-book cache
+
+ALL_DOMAINS = (None, Domain.SPEECH, Domain.MUSIC, Domain.SOUND)
+
+
+def uncached_ids(codec, frames, domain):
+    return quantize(frames, codec.params, codec.config.quantizer, domain=domain)[0].ids
+
+
+def test_cached_book_gives_uncached_ids():
+    codec = Codec(micro_config(), seed=2)
+    frames = Tensor(np.random.default_rng(0).standard_normal((30, 8)))
+    for _ in range(2):  # the first pass builds the book, the second reuses it
+        for domain in ALL_DOMAINS:
+            got = codec.quantize(frames, domain=domain)[0].ids
+            assert np.array_equal(got, uncached_ids(codec, frames, domain))
+
+
+@pytest.mark.parametrize("write", ["in_place", "replaced"])
+def test_book_cache_follows_projection_updates(write):
+    # the warm start writes vq.proj in place; AdamW replaces its array
+    codec = Codec(micro_config(), seed=2)
+    rng = np.random.default_rng(1)
+    frames = Tensor(rng.standard_normal((30, 8)))
+    stale = [codec.quantize(frames, domain=d)[0].ids for d in ALL_DOMAINS]
+    new = rng.normal(0.0, 1.0, (8, 8))
+    if write == "in_place":
+        codec.params["vq.proj"].data[...] = new
+    else:
+        codec.params["vq.proj"].data = new
+    fresh = [codec.quantize(frames, domain=d)[0].ids for d in ALL_DOMAINS]
+    for domain, got in zip(ALL_DOMAINS, fresh):
+        assert np.array_equal(got, uncached_ids(codec, frames, domain))
+    assert not np.array_equal(fresh[0], stale[0])  # the update moved the ids
+
+
+def test_book_built_lazily_and_once(tmp_path, monkeypatch):
+    Codec(CodecConfig.toy(), seed=3).save(tmp_path / "c.tckp")
+    calls = []
+    build = quantizer.effective_codewords
+    monkeypatch.setattr(quantizer, "effective_codewords", lambda params: calls.append(1) or build(params))
+    codec = Codec.load(tmp_path / "c.tckp")
+    assert calls == []
+    clip = tone(4800, hz=330.0)
+    for _ in range(3):
+        codec.encode(clip)
+    assert calls == [1]
+
+
+def test_state_arrays_exclude_the_book_cache():
+    codec = Codec(micro_config(), seed=2)
+    before = codec.state_arrays().keys()
+    codec.encode(tone(2000))
+    assert codec.state_arrays().keys() == before
+    assert before == {f"param/{k}" for k in micro_config().param_shapes()} | {"meta/config_json"}

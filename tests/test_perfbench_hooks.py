@@ -5,10 +5,11 @@ wraps, and restoring them must leave the package exactly as it was."""
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tricodec import checkpoint, encoder, model, quantizer, signal, training
-from tricodec.model import Codec
+from tricodec.model import Codec, CodecConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,3 +49,30 @@ def test_install_wraps_and_restore_puts_back(name, traced):
     for owner, old, new in zip(OWNERS, before, attributes()):
         assert new.keys() == old.keys(), owner
         assert all(new[attr] is old[attr] for attr in old), owner
+
+
+def test_traced_round_trip_reaches_every_inference_layer(tmp_path):
+    # one round trip as the inference workloads run it, on a fresh codec,
+    # must open a span for each wrapped name on the inference path; a
+    # renamed or bypassed function would leave its traced metric at zero
+    path = tmp_path / "in.wav"
+    signal.save_wav(path, signal.AudioClip(np.random.default_rng(0).uniform(-0.5, 0.5, 1600), 16000))
+    codec = Codec(CodecConfig.toy(), seed=0)
+    tracer = Tracer()
+    rec = workloads.Record()
+    try:
+        workloads.install(tracer, workloads.WORKLOADS["infer-short"], rec, traced=True, calibrator=None)
+        tracer.begin_op()
+        clip = signal.resample(signal.load_wav(path), codec.config.sample_rate)
+        stream = codec.encode(clip)
+        codec.decode_tokens(stream)
+        tracer.end_op()
+    finally:
+        tracer.restore()
+    names = {s.name for s in tracer.finished_spans()}
+    for name in ("model.encode_frames", "model.quantize", "quantizer.quantize",
+                 "quantizer.effective_codewords", "quantizer.simvq_embed", "signal.resample"):
+        assert name in names, name
+    book_rows = codec.config.quantizer.codebook_size
+    assert tracer.counts_per_op()["quantizer.rows_projected"] == book_rows + len(stream)
+    assert rec.distinct_ids == [len(np.unique(stream.ids))]

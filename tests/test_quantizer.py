@@ -14,6 +14,7 @@ from tricodec.quantizer import (
     TokenStreamError,
     alignment_loss,
     commitment_loss,
+    effective_book,
     effective_codewords,
     init_quantizer_params,
     load_tokens,
@@ -56,6 +57,22 @@ def test_quantize_matches_oracle_whole_book():
         frames = Tensor(rng.standard_normal((10, 8)))
         stream, _ = quantize(frames, params, CFG)
         assert np.array_equal(stream.ids, nn_oracle(frames.data, book))
+
+
+def test_quantize_with_prebuilt_book_matches_uncached():
+    # a caller's book and norms give the ids the call would build itself,
+    # bit for bit, whole book and per region
+    rng = np.random.default_rng(2)
+    params = make_params(seed=3)
+    params["vq.proj"].data[...] = rng.normal(0.0, 0.5, (8, 8))
+    book = effective_book(params)
+    assert np.array_equal(book[0], effective_codewords(params).data)
+    assert np.array_equal(book[1], np.sum(book[0] * book[0], axis=1))
+    frames = Tensor(rng.standard_normal((40, 8)))
+    for domain in (None, Domain.SPEECH, Domain.MUSIC, Domain.SOUND):
+        want, _ = quantize(frames, params, CFG, domain=domain)
+        got, _ = quantize(frames, params, CFG, domain=domain, book=book)
+        assert np.array_equal(got.ids, want.ids)
 
 
 def test_quantize_domain_restricted_matches_regional_oracle():
