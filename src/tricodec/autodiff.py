@@ -317,7 +317,11 @@ def sigmoid(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, x * Phi(x)."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    # Phi(x) = 0.5 (1 + erf(x / sqrt 2)), built in one buffer
+    cdf = np.asarray(x * _INV_SQRT2)  # an array also for 0-d x, so out= can take it
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = x * cdf
 
     def bwd(g):

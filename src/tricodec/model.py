@@ -264,8 +264,22 @@ class Codec:
         ckpt.save_tensors(path, self.state_arrays())
 
     @classmethod
-    def load(cls, path) -> "Codec":
-        arrays = ckpt.load_tensors(path)
+    def load(cls, path, dtype=np.float32) -> "Codec":
+        """The codec saved at ``path``, every parameter cast to ``dtype``.
+
+        The float32 default serves inference: each floating-point tensor is
+        converted as it is read (``checkpoint.load_tensors``), so no
+        float64 copy of the checkpoint is held, and encode and decode then
+        run in float32. The codebook search stays float64 whatever the
+        dtype (``quantizer.effective_book``). Training resumes in float64.
+        """
+        return cls._from_arrays(ckpt.load_tensors(path, dtype=dtype), path, dtype)
+
+    @classmethod
+    def _from_arrays(cls, arrays: dict, path, dtype) -> "Codec":
+        """The codec that ``state_arrays`` (as read back from ``path``)
+        describes, every parameter cast to ``dtype``; the arrays are used
+        as they are where they already have it."""
         if "meta/config_json" not in arrays:
             raise ckpt.CheckpointError(f"{path}: checkpoint lacks an embedded model config")
         try:
@@ -275,7 +289,7 @@ class Codec:
         except (ValueError, TypeError, AttributeError) as e:  # includes bad UTF-8 and bad JSON
             raise ckpt.CheckpointError(f"{path}: embedded model config is invalid: {e}") from None
         params = {
-            k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")
+            k[len("param/") :]: v.astype(dtype, copy=False) for k, v in arrays.items() if k.startswith("param/")
         }
         for name, shape in config.param_shapes().items():
             if name not in params:
@@ -284,5 +298,4 @@ class Codec:
                 raise ckpt.CheckpointError(
                     f"{path}: tensor 'param/{name}' has shape {params[name].shape}, config expects {shape}"
                 )
-        dtype = params["enc.conv0.w"].dtype
         return cls(config, dtype=dtype, params=params)

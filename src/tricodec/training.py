@@ -352,7 +352,7 @@ def train_stage(
     rng = None
     if init_from is not None:
         arrays = ckpt.load_tensors(init_from)
-        codec = Codec.load(init_from)
+        codec = Codec._from_arrays(arrays, init_from, np.float64)
         stage_done = int(arrays.get("meta/stage_done", np.asarray(0)))
         if cfg.stage is not Stage.ACOUSTIC and stage_done < Stage.ACOUSTIC.value:
             raise StageOrderError(

@@ -149,6 +149,21 @@ def test_load_peak_memory_is_one_copy(tmp_path):
     assert peak < 1.5 * n_bytes, f"peak {peak / n_bytes:.2f}x the tensor size"
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_load_converts_floating_tensors(tmp_path, dtype):
+    p = tmp_path / "c.tckp"
+    arrays = sample_arrays()
+    # several conversion chunks, the last one partial
+    arrays["big"] = np.random.default_rng(1).standard_normal(300_001)
+    save_tensors(p, arrays)
+    back = load_tensors(p, dtype=dtype)
+    assert list(back) == list(arrays)
+    for name, arr in arrays.items():
+        want = arr.astype(dtype) if arr.dtype.kind == "f" else arr
+        assert back[name].dtype == want.dtype, name
+        assert np.array_equal(back[name], want), name
+
+
 def test_trailing_garbage_rejected(tmp_path):
     p = tmp_path / "i.tckp"
     save_tensors(p, {"x": np.ones(2)})

@@ -1,6 +1,7 @@
 """Codec assembly: config plumbing, persistence, and token-level round trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ def test_save_load_round_trip(tmp_path):
     codec = Codec(micro_config(), seed=9)
     p = tmp_path / "c.tckp"
     codec.save(p)
-    loaded = Codec.load(p)
+    loaded = Codec.load(p, dtype=np.float64)
     assert loaded.config == codec.config
     assert loaded.dtype == codec.dtype
     assert set(loaded.params) == set(codec.params)
@@ -172,6 +173,58 @@ def test_save_load_round_trip(tmp_path):
     a = codec.reconstruct(clip)
     b = loaded.reconstruct(clip)
     assert np.array_equal(a.samples, b.samples)
+
+
+def test_load_defaults_to_float32(tmp_path):
+    codec = Codec(micro_config(), seed=9)
+    p = tmp_path / "c.tckp"
+    codec.save(p)
+    loaded = Codec.load(p)
+    assert loaded.dtype == np.float32
+    assert list(loaded.params) == list(codec.params)
+    for k, v in codec.params.items():
+        got = loaded.params[k]
+        assert got.dtype == np.float32, k
+        assert np.array_equal(got.data, v.data.astype(np.float32)), k
+        assert got.requires_grad == v.requires_grad, k
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mixed_dtype_checkpoint_loads_in_requested_dtype(tmp_path, dtype):
+    # the first parameter is stored in the other dtype from the rest, so no
+    # one tensor's stored dtype decides the codec's
+    arrays = Codec(micro_config(), seed=9).state_arrays()
+    other = np.float64 if dtype == np.float32 else np.float32
+    names = [k for k in arrays if k.startswith("param/")]
+    for i, k in enumerate(names):
+        arrays[k] = arrays[k].astype(other if i == 0 else dtype)
+    p = tmp_path / "mixed.tckp"
+    ckpt.save_tensors(p, arrays)
+    loaded = Codec.load(p, dtype=dtype)
+    assert loaded.dtype == dtype
+    for k in names:
+        got = loaded.params[k[len("param/") :]].data
+        assert got.dtype == dtype and np.array_equal(got, arrays[k].astype(dtype)), k
+    assert loaded.encode(tone(2000)).ids.shape == (500,)
+
+
+def test_float32_load_never_holds_the_float64_checkpoint(tmp_path):
+    # tensors are cast as they are read: the peak stays below the float64
+    # payload plus the float32 copy of its largest tensor, so the two full
+    # copies never coexist
+    codec = Codec(CodecConfig.toy(), seed=5)
+    p = tmp_path / "c.tckp"
+    codec.save(p)
+    payload = sum(t.data.nbytes for t in codec.params.values())
+    largest = max(t.data.nbytes for t in codec.params.values())
+    tracemalloc.start()
+    try:
+        loaded = Codec.load(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.dtype == np.float32
+    assert peak < payload + largest // 2 + (256 << 10), f"peak {peak} for a {payload}-byte payload"
 
 
 def test_load_requires_embedded_config(tmp_path):

@@ -52,16 +52,18 @@ def test_install_wraps_and_restore_puts_back(name, traced):
 
 
 def test_traced_round_trip_reaches_every_inference_layer(tmp_path):
-    # one round trip as the inference workloads run it, on a fresh codec,
-    # must open a span for each wrapped name on the inference path; a
-    # renamed or bypassed function would leave its traced metric at zero
+    # one setup and round trip as the inference workloads run them, on a
+    # float32 codec loaded from a saved float64 checkpoint, must open a span
+    # for each wrapped name on the inference path; a renamed or bypassed
+    # function would leave its traced metric at zero
     path = tmp_path / "in.wav"
     signal.save_wav(path, signal.AudioClip(np.random.default_rng(0).uniform(-0.5, 0.5, 1600), 16000))
-    codec = Codec(CodecConfig.toy(), seed=0)
+    Codec(CodecConfig.toy(), seed=0).save(tmp_path / "codec.tckp")
     tracer = Tracer()
     rec = workloads.Record()
     try:
         workloads.install(tracer, workloads.WORKLOADS["infer-short"], rec, traced=True, calibrator=None)
+        codec = Codec.load(tmp_path / "codec.tckp")
         tracer.begin_op()
         clip = signal.resample(signal.load_wav(path), codec.config.sample_rate)
         stream = codec.encode(clip)
@@ -70,8 +72,11 @@ def test_traced_round_trip_reaches_every_inference_layer(tmp_path):
     finally:
         tracer.restore()
     names = {s.name for s in tracer.finished_spans()}
-    for name in ("model.encode_frames", "model.quantize", "quantizer.quantize",
-                 "quantizer.effective_codewords", "quantizer.simvq_embed", "signal.resample"):
+    assert codec.dtype == np.float32
+    for name in ("checkpoint.load", "model.encode_frames", "model.quantize", "quantizer.quantize",
+                 "quantizer.effective_codewords", "quantizer.simvq_embed", "encoder.conv_encode",
+                 "encoder.transformer_encode", "encoder.moe_mix", "decoder.decode", "signal.load_wav",
+                 "signal.resample"):
         assert name in names, name
     book_rows = codec.config.quantizer.codebook_size
     assert tracer.counts_per_op()["quantizer.rows_projected"] == book_rows + len(stream)

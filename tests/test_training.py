@@ -247,10 +247,15 @@ def test_acoustic_rerun_is_byte_identical(acoustic_run, tmp_path):
     assert res2.final_checkpoint.read_bytes() == res.final_checkpoint.read_bytes()
 
 
-def test_mid_stage_resume_is_bit_exact(acoustic_run, tmp_path):
+def test_mid_stage_resume_is_bit_exact(acoustic_run, tmp_path, monkeypatch):
     cfg, res = acoustic_run
     mid = next(p for p in res.checkpoints if p.name == "ckpt_step4.tckp")
+    reads = []
+    load = ckpt.load_tensors
+    monkeypatch.setattr(ckpt, "load_tensors", lambda path, **kw: reads.append(path) or load(path, **kw))
     res2 = train_stage(micro_clips(), cfg, tmp_path / "resumed", init_from=mid)
+    monkeypatch.undo()
+    assert reads == [mid]  # the init checkpoint is read once
     a = ckpt.load_tensors(res.final_checkpoint)
     b = ckpt.load_tensors(res2.final_checkpoint)
     assert set(a) == set(b)
@@ -419,7 +424,7 @@ def test_alignment_term_has_unit_weight():
 
 def test_dataset_recon_loss_is_recon_only(acoustic_run):
     cfg, res = acoustic_run
-    codec = Codec.load(res.final_checkpoint)
+    codec = Codec.load(res.final_checkpoint, dtype=np.float64)  # the dtype training runs in
     clips = micro_clips()
     got = dataset_recon_loss(codec, clips, cfg)
 
