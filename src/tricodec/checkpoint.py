@@ -41,7 +41,6 @@ _DTYPES = {
     6: np.dtype("u1"),
 }
 _CODES = {v: k for k, v in _DTYPES.items()}
-_CAST_CHUNK = 1 << 20  # bytes of stored payload per step of a converting read
 
 
 class CheckpointError(Exception):
@@ -86,28 +85,14 @@ def _read_header(f, fmt: str, path, i: int) -> tuple:
     return struct.unpack(fmt, raw)
 
 
-def _read_cast(f, out: np.ndarray, dt: np.dtype) -> bool:
-    """Fill the flat array ``out`` from ``f``, whose payload holds ``dt``
-    values, through a buffer of at most ``_CAST_CHUNK`` bytes; False if the
-    file ends first."""
-    step = max(1, _CAST_CHUNK // dt.itemsize)
-    buf = np.empty(min(step, out.size), dtype=dt)
-    for start in range(0, out.size, step):
-        part = buf[: min(step, out.size - start)]
-        if f.readinto(part.view(np.uint8)) != part.nbytes:
-            return False
-        out[start : start + part.size] = part
-    return True
-
-
 def load_tensors(path, dtype=None) -> dict:
     """Read a container written by ``save_tensors``; returns ``{name: ndarray}``.
 
     Record headers are read from the open file and each payload is read
     straight into its preallocated array, so the peak is one copy of the
     tensors. With ``dtype``, every floating-point tensor is converted to it
-    as it is read, a chunk at a time, so the stored-dtype copy of the
-    tensors never exists; other tensors keep their stored dtype."""
+    as soon as it is read, so the stored-dtype copy of at most one tensor
+    exists at a time; other tensors keep their stored dtype."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(12)
@@ -136,18 +121,13 @@ def load_tensors(path, dtype=None) -> dict:
             # checked before allocating, so corrupt dims cannot demand a huge array
             if f.tell() + nbytes > size:
                 raise CheckpointError(f"{path}: tensor '{name}' payload truncated")
-            out_dt = np.dtype(dtype) if dtype is not None and dt.kind == "f" else dt
             try:
-                arr = np.empty(dims, dtype=out_dt)
+                arr = np.empty(dims, dtype=dt)
             except ValueError:  # a zero-size shape can still exceed numpy's dimension limit
                 raise CheckpointError(f"{path}: tensor '{name}' has impossible dims {dims}") from None
-            if out_dt == dt:
-                complete = f.readinto(arr.reshape(-1).view(np.uint8)) == nbytes
-            else:
-                complete = _read_cast(f, arr.reshape(-1), dt)
-            if not complete:
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
                 raise CheckpointError(f"{path}: tensor '{name}' payload truncated")
-            out[name] = arr
+            out[name] = arr.astype(dtype, copy=False) if dtype is not None and dt.kind == "f" else arr
         trailing = size - f.tell()
     if trailing:
         raise CheckpointError(f"{path}: {trailing} trailing bytes after the last tensor")

@@ -264,16 +264,16 @@ class Codec:
         ckpt.save_tensors(path, self.state_arrays())
 
     @classmethod
-    def load(cls, path, dtype=np.float32) -> "Codec":
-        """The codec saved at ``path``, every parameter cast to ``dtype``.
+    def load(cls, path) -> "Codec":
+        """The codec saved at ``path``, in float32, for inference.
 
-        The float32 default serves inference: each floating-point tensor is
-        converted as it is read (``checkpoint.load_tensors``), so no
-        float64 copy of the checkpoint is held, and encode and decode then
-        run in float32. The codebook search stays float64 whatever the
-        dtype (``quantizer.effective_book``). Training resumes in float64.
+        Each floating-point tensor is cast to float32 as it is read
+        (``checkpoint.load_tensors``), so no float64 copy of the whole
+        checkpoint is held, and encode and decode then run in float32. The
+        codebook search stays float64 (``quantizer.effective_book``), and
+        training resumes in float64 (``training.train_stage``).
         """
-        return cls._from_arrays(ckpt.load_tensors(path, dtype=dtype), path, dtype)
+        return cls._from_arrays(ckpt.load_tensors(path, dtype=np.float32), path, np.float32)
 
     @classmethod
     def _from_arrays(cls, arrays: dict, path, dtype) -> "Codec":

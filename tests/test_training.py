@@ -424,7 +424,8 @@ def test_alignment_term_has_unit_weight():
 
 def test_dataset_recon_loss_is_recon_only(acoustic_run):
     cfg, res = acoustic_run
-    codec = Codec.load(res.final_checkpoint, dtype=np.float64)  # the dtype training runs in
+    # built in float64, the dtype training runs in, as train_stage builds it
+    codec = Codec._from_arrays(ckpt.load_tensors(res.final_checkpoint), res.final_checkpoint, np.float64)
     clips = micro_clips()
     got = dataset_recon_loss(codec, clips, cfg)
 
