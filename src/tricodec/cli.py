@@ -117,12 +117,12 @@ def load_train_config(path) -> dict:
 def _stage_config_from(raw: dict) -> StageConfig:
     stage = Stage.from_string(raw["stage"])
     kw = {key: raw[key] for key in _STAGE_KEYS if key in raw}
-    if "mask" in raw:
-        kw["mask"] = MaskSpec(**raw["mask"])
-    if "contrastive" in raw:
-        kw["contrastive"] = ContrastiveConfig(**raw["contrastive"])
     maker = {Stage.ACOUSTIC: StageConfig.acoustic, Stage.SEMANTIC: StageConfig.semantic, Stage.FINETUNE: StageConfig.finetune}
     try:
+        if "mask" in raw:
+            kw["mask"] = MaskSpec(**raw["mask"])
+        if "contrastive" in raw:
+            kw["contrastive"] = ContrastiveConfig(**raw["contrastive"])
         return maker[stage](**kw)
     except ValueError as e:
         raise ConfigError(str(e)) from None

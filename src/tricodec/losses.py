@@ -76,16 +76,17 @@ def sample_mask(T: int, spec: MaskSpec, rng: np.random.Generator) -> MaskSet:
     return MaskSet(mask=mask, starts=starts)
 
 
+# softmax temperature of the contrastive logits
+TEMPERATURE = 0.1
+
+
 @dataclass(frozen=True)
 class ContrastiveConfig:
     n_distractors: int = 100
-    temperature: float = 0.1
 
     def __post_init__(self):
         if self.n_distractors < 1:
             raise ValueError(f"n_distractors must be >= 1, got {self.n_distractors}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
 def contrastive_loss(
@@ -95,7 +96,7 @@ def contrastive_loss(
 
     For each masked step t the candidate set is c_t plus K latents drawn
     uniformly (without replacement) from the *other* masked steps; the loss
-    is -log softmax over cosine similarities divided by the temperature,
+    is -log softmax over cosine similarities divided by TEMPERATURE,
     averaged over masked steps. Equal similarities give exactly log(K+1).
     """
     idx = np.nonzero(mask.mask)[0]
@@ -115,7 +116,7 @@ def contrastive_loss(
     q_m = reshape(gather_rows(q, idx), (m, 1, q.shape[1]))
     c_cand = reshape(gather_rows(c, cand.reshape(-1)), (m, k + 1, c.shape[1]))
     sims = cosine_similarity(q_m, c_cand, axis=-1)           # (m, k+1)
-    logits = div(sims, Tensor(np.asarray(cfg.temperature, dtype=q.dtype)))
+    logits = div(sims, Tensor(np.asarray(TEMPERATURE, dtype=q.dtype)))
     per_step = sub(logsumexp(logits, axis=-1), logits[:, 0])
     return tmean(per_step)
 

@@ -44,6 +44,9 @@ TOKEN_VERSION = 1
 BASE_MEAN = 4.0
 BASE_STD = 1.0
 
+# commitment weight (VQ-VAE's beta)
+COMMIT_BETA = 0.25
+
 
 @dataclass(frozen=True)
 class QuantizerConfig:
@@ -212,12 +215,13 @@ def quantize(
     return stream, quantized
 
 
-def commitment_loss(frames: Tensor, quantized: Tensor, beta: float = 0.25) -> Tensor:
-    """beta * mean over frames of squared distance to the (stop-gradient)
-    quantized frames: zero iff every frame already sits on its codeword."""
+def commitment_loss(frames: Tensor, quantized: Tensor) -> Tensor:
+    """COMMIT_BETA * mean over frames of squared distance to the
+    (stop-gradient) quantized frames: zero iff every frame already sits on
+    its codeword."""
     diff = sub(frames, stop_gradient(quantized))
     per_frame = tsum(mul(diff, diff), axis=-1)
-    return mul(tmean(per_frame), Tensor(np.asarray(beta, dtype=frames.dtype)))
+    return mul(tmean(per_frame), Tensor(np.asarray(COMMIT_BETA, dtype=frames.dtype)))
 
 
 def alignment_loss(frames: Tensor, codewords: Tensor) -> Tensor:

@@ -42,6 +42,9 @@ __all__ = [
     "dataset_recon_loss",
 ]
 
+# training reads at most the first MAX_CLIP_SECONDS of each clip
+MAX_CLIP_SECONDS = 10.0
+
 
 class TrainingError(Exception):
     pass
@@ -76,22 +79,30 @@ class StageConfig:
     seed: int = 0
     lr: float = 2e-4
     lr_min: float = 1e-6
-    betas: tuple = (0.9, 0.999)
-    weight_decay: float = 0.01
-    lam_mel: float = 45.0
     lam_c: float = 1.0
-    beta_commit: float = 0.25
     mask: MaskSpec = field(default_factory=MaskSpec)
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
-    max_clip_seconds: float = 10.0
     checkpoint_every: int = 0
     log_every: int = 10
 
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
-        if self.stage == Stage.FINETUNE and (self.lam_mel != 450.0 or self.lr != 5e-5):
-            raise ValueError("finetune stage is pinned to lam_mel=450 and lr=5e-5")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0 (0 saves none), got {self.checkpoint_every}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 <= self.lr_min <= self.lr:
+            raise ValueError(f"lr_min must be in [0, lr={self.lr}], got {self.lr_min}")
+        if self.stage == Stage.FINETUNE and self.lr != 5e-5:
+            raise ValueError("finetune stage is pinned to lr=5e-5")
+
+    @property
+    def lam_mel(self) -> float:
+        """Mel-loss weight: 450 for the reconstruction-heavy fine-tune, 45 otherwise."""
+        return 450.0 if self.stage is Stage.FINETUNE else 45.0
 
     @classmethod
     def acoustic(cls, **kw) -> "StageConfig":
@@ -103,7 +114,6 @@ class StageConfig:
 
     @classmethod
     def finetune(cls, **kw) -> "StageConfig":
-        kw.setdefault("lam_mel", 450.0)
         kw.setdefault("lr", 5e-5)
         return cls(stage=Stage.FINETUNE, **kw)
 
@@ -216,9 +226,9 @@ def _save_state(
     ckpt.save_tensors(path, arrays)
 
 
-def _capped(clip: AudioClip, max_seconds: float) -> np.ndarray:
-    """The clip's first ``max_seconds``; ``Codec.forward`` cuts them to whole frames."""
-    return clip.samples[: int(max_seconds * clip.sample_rate)]
+def _capped(clip: AudioClip) -> np.ndarray:
+    """The clip's first ``MAX_CLIP_SECONDS``; ``Codec.forward`` cuts them to whole frames."""
+    return clip.samples[: int(MAX_CLIP_SECONDS * clip.sample_rate)]
 
 
 def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.random.Generator) -> dict:
@@ -226,7 +236,7 @@ def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.rand
     Quantization is restricted to the clip's domain region (``train_stage``
     checks every clip's label). Only the semantic stage masks frames and
     adds the contrastive term."""
-    x = _capped(clip, cfg.max_clip_seconds)
+    x = _capped(clip)
     semantic = cfg.stage is Stage.SEMANTIC
     maskset = sample_mask(len(x) // codec.config.downsample, cfg.mask, rng) if semantic else None
     out = codec.forward(x, domain=clip.domain, mask=maskset.mask if semantic else None, decode=True)
@@ -234,7 +244,7 @@ def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.rand
     sample_rate = codec.config.sample_rate
     time_l1, mel_l1 = reconstruction_terms(Tensor(out.samples), out.wave, sample_rate=sample_rate)
     recon = add(time_l1, mul(Tensor(np.asarray(cfg.lam_mel, dtype=codec.dtype)), mel_l1))
-    commit = commitment_loss(out.frames, out.quantized, beta=cfg.beta_commit)
+    commit = commitment_loss(out.frames, out.quantized)
     align = alignment_loss(out.frames, out.codewords)
     total = add(recon, add(commit, align))
 
@@ -257,8 +267,9 @@ def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.rand
 def dataset_recon_loss(codec: Codec, clips: Sequence[AudioClip], cfg: StageConfig) -> float:
     """Mean reconstruction loss (time + lam_mel*mel) over all clips,
     domain-quantized, no masking: the training term, read without a graph.
-    Deterministic; used for trend checks."""
-    unmasked = replace(cfg, stage=Stage.ACOUSTIC)
+    Deterministic; used for trend checks. A semantic config is scored as
+    acoustic (no mask, same mel weight); a fine-tune config keeps its 450."""
+    unmasked = replace(cfg, stage=Stage.ACOUSTIC) if cfg.stage is Stage.SEMANTIC else cfg
     return float(np.mean([float(_sample_losses(codec, c, unmasked, None)["recon"].data) for c in clips]))
 
 
@@ -269,14 +280,13 @@ def dataset_contrastive_loss(
     mask: MaskSpec,
     contrastive: ContrastiveConfig,
     seed: int = 0,
-    max_clip_seconds: float = 10.0,
 ) -> float:
     """Mean masked-contrastive loss over all clips with a fixed mask seed.
 
     Deterministic given (model, clips, seed); used to measure how well masked
     positions identify their own unmasked conv feature among distractors.
     This is the semantic stage's training term, read without a graph."""
-    cfg = StageConfig.semantic(mask=mask, contrastive=contrastive, max_clip_seconds=max_clip_seconds)
+    cfg = StageConfig.semantic(mask=mask, contrastive=contrastive)
     rng = np.random.default_rng(seed)
     return float(np.mean([float(_sample_losses(codec, c, cfg, rng)["contrastive"].data) for c in clips]))
 
@@ -298,7 +308,7 @@ def _warm_start_projection(codec: Codec, clips: Sequence[AudioClip], cfg: StageC
     rng = np.random.default_rng((cfg.seed, 0x779A))
     by_domain: dict = {}
     for clip in clips:
-        out = codec.forward(_capped(clip, cfg.max_clip_seconds), domain=clip.domain)
+        out = codec.forward(_capped(clip), domain=clip.domain)
         by_domain.setdefault(clip.domain, []).append(out.frames.data)
     base = codec.params["vq.base"].data
     rows, targets = [], []
@@ -363,7 +373,7 @@ def train_stage(
         saved_step = int(arrays.get("meta/step", np.asarray(0)))
         if in_progress == cfg.stage.value and saved_step < cfg.steps:
             # mid-stage resume: restore optimizer moments and RNG exactly
-            opt = AdamW(codec.trainable(), betas=cfg.betas, weight_decay=cfg.weight_decay)
+            opt = AdamW(codec.trainable())
             for name in opt.params:
                 opt.m[name] = arrays[f"adam_m/{name}"].copy()
                 opt.v[name] = arrays[f"adam_v/{name}"].copy()
@@ -382,7 +392,7 @@ def train_stage(
         _warm_start_projection(codec, clips, cfg)
 
     if opt is None:
-        opt = AdamW(codec.trainable(), betas=cfg.betas, weight_decay=cfg.weight_decay)
+        opt = AdamW(codec.trainable())
         rng = np.random.default_rng(cfg.seed)
 
     step0_recon = dataset_recon_loss(codec, clips, cfg)

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from tricodec.checkpoint import load_tensors, save_tensors
-from tricodec.cli import _STAGE_KEYS, ConfigError, _stage_config_from, load_train_config, main
+from tricodec.cli import (
+    _CONTRASTIVE_KEYS,
+    _MASK_KEYS,
+    _STAGE_KEYS,
+    ConfigError,
+    _stage_config_from,
+    load_train_config,
+    main,
+)
 from tricodec.quantizer import TokenStream, load_tokens, save_tokens
 from tricodec.signal import load_wav
 
@@ -126,13 +134,13 @@ def test_config_bad_model(tmp_path):
 
 
 def test_config_documented_stage_keys_reach_stage_config(tmp_path):
-    cfg = base_cfg(beta_commit=0.5, log_every=3,
-                   mask={"p": 0.2}, contrastive={"temperature": 0.5})
+    cfg = base_cfg(lam_c=0.5, log_every=3,
+                   mask={"p": 0.2}, contrastive={"n_distractors": 7})
     raw = load_train_config(write_cfg(tmp_path, cfg))
     stage = _stage_config_from(raw)
-    assert stage.beta_commit == 0.5
+    assert stage.lam_c == 0.5
     assert stage.log_every == 3
-    assert stage.mask.p == 0.2 and stage.contrastive.temperature == 0.5
+    assert stage.mask.p == 0.2 and stage.contrastive.n_distractors == 7
 
 
 def test_readme_lists_exactly_the_stage_keys():
@@ -140,18 +148,53 @@ def test_readme_lists_exactly_the_stage_keys():
     section = readme.split("## Config keys", 1)[1]
     paragraph = section.split("Stage configs accept:", 1)[1].split("\n\n", 1)[0]
     assert set(re.findall(r"`(\w+)`", paragraph)) == set(_STAGE_KEYS)
+    # the sub-object keys, listed in parentheses after each sub-object's name
+    for name, keys in (("mask", _MASK_KEYS), ("contrastive", _CONTRASTIVE_KEYS)):
+        listed = re.search(rf"`{name}` \(([^)]*)\)", section).group(1)
+        assert set(re.findall(r"`(\w+)`", listed)) == set(keys), name
 
 
 @pytest.mark.parametrize(
     "key, value",
-    [("lam_align", 0.5), ("warm_start", False), ("freeze_encoder_steps", 3), ("enable_mask", True)],
+    [
+        ("lam_align", 0.5), ("warm_start", False), ("freeze_encoder_steps", 3), ("enable_mask", True),
+        ("weight_decay", 0.01), ("lam_mel", 45.0), ("beta_commit", 0.25), ("max_clip_seconds", 10.0),
+        ("contrastive.temperature", 0.1),
+    ],
 )
 def test_train_removed_recipe_key_fails(tmp_path, capsys, key, value):
-    p = write_cfg(tmp_path, base_cfg(**{key: value}))
+    # a dotted key names a field of a sub-object
+    section, _, leaf = key.rpartition(".")
+    p = write_cfg(tmp_path, base_cfg(**({section: {leaf: value}} if section else {key: value})))
     assert main(["train", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: category=config:")
     assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"log_every": 0}, "log_every"),
+        ({"checkpoint_every": -5}, "checkpoint_every"),
+        ({"lr": -1.0}, "lr"),
+        ({"lr": 0}, "lr"),
+        ({"lr": float("nan")}, "lr"),
+        ({"lr_min": -1e-6}, "lr_min"),
+        ({"lr": 1e-3, "lr_min": 2e-3}, "lr_min"),
+        ({"mask": {"p": 2.0}}, "mask proportion p"),
+        ({"contrastive": {"n_distractors": 0}}, "n_distractors"),
+    ],
+    ids=["log_every=0", "checkpoint_every=-5", "lr=-1", "lr=0", "lr=NaN", "lr_min=-1e-6", "lr_min>lr",
+         "mask.p=2", "contrastive.n_distractors=0"],
+)
+def test_train_bad_stage_value_is_config_error(tmp_path, capsys, overrides, named):
+    # rejected while the config is read, before any clip is loaded
+    p = write_cfg(tmp_path, base_cfg(**overrides))
+    assert main(["train", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: category=config:")
+    assert named in err
 
 
 def test_config_invalid_json(tmp_path):

@@ -100,7 +100,7 @@ def test_contrastive_uniform_similarity_is_log_k_plus_1():
     c = Tensor(np.tile(np.linspace(1, 2, h), (t, 1)))
     q = Tensor(np.random.default_rng(4).standard_normal((t, h)))
     ms = make_mask(t, np.arange(8))
-    cfg = ContrastiveConfig(n_distractors=k, temperature=0.1)
+    cfg = ContrastiveConfig(n_distractors=k)
     val = float(contrastive_loss(q, c, ms, cfg, np.random.default_rng(0)).data)
     assert abs(val - np.log(k + 1)) < 1e-12
 
@@ -110,7 +110,7 @@ def test_contrastive_perfect_prediction_near_zero():
     t, h = 20, 16
     c = rng.standard_normal((t, h))
     ms = make_mask(t, np.arange(t))
-    cfg = ContrastiveConfig(n_distractors=8, temperature=0.05)
+    cfg = ContrastiveConfig(n_distractors=8)
     val = float(contrastive_loss(Tensor(c * 3), Tensor(c), ms, cfg, rng).data)
     assert val < 0.2  # own feature wins nearly every row
 
@@ -122,7 +122,7 @@ def test_contrastive_matches_softmax_oracle():
     q = rng.standard_normal((t, h))
     c = rng.standard_normal((t, h))
     ms = make_mask(t, np.arange(t))
-    cfg = ContrastiveConfig(n_distractors=k, temperature=0.1)
+    cfg = ContrastiveConfig(n_distractors=k)
 
     draw = np.random.default_rng(42)
     got = float(contrastive_loss(Tensor(q), Tensor(c), ms, cfg, draw).data)
@@ -153,7 +153,7 @@ def test_contrastive_grad_wrt_q():
     t, h = 10, 6
     c = Tensor(rng.standard_normal((t, h)))
     ms = make_mask(t, np.arange(t))
-    cfg = ContrastiveConfig(n_distractors=4, temperature=0.1)
+    cfg = ContrastiveConfig(n_distractors=4)
 
     def f(q):
         return contrastive_loss(q, c, ms, cfg, np.random.default_rng(11))
@@ -165,8 +165,9 @@ def test_contrastive_grad_wrt_q():
 def test_contrastive_config_validation():
     with pytest.raises(ValueError):
         ContrastiveConfig(n_distractors=0)
-    with pytest.raises(ValueError):
-        ContrastiveConfig(temperature=0.0)
+    # the temperature is fixed (losses.TEMPERATURE); no option sets it
+    with pytest.raises(TypeError):
+        ContrastiveConfig(temperature=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +190,21 @@ def test_reconstruction_constant_offset_time_term():
 
 
 def test_reconstruction_lam_mel_scales_mel_term():
-    # training's reconstruction loss is time L1 + the stage's lam_mel * mel L1
+    # training's reconstruction loss is time L1 + the stage's mel weight * mel
+    # L1: 45 for acoustic (and semantic), 450 for fine-tune, which the
+    # dataset readout must keep rather than score as acoustic
     codec = Codec(CodecConfig.toy(), seed=3)
     rng = np.random.default_rng(11)
     clip = AudioClip(np.clip(rng.standard_normal(2560) * 0.3, -1, 1), 24000, Domain.SPEECH)
     frames, _ = codec.encode_frames(clip.samples)
     _, quantized = codec.quantize(frames, domain=Domain.SPEECH)
     t1, m1 = reconstruction_terms(clip.samples, codec.decode_frames(quantized))
-    l45 = dataset_recon_loss(codec, [clip], StageConfig.acoustic(lam_mel=45.0))
-    l90 = dataset_recon_loss(codec, [clip], StageConfig.acoustic(lam_mel=90.0))
-    assert abs((l90 - l45) - 45.0 * float(m1.data)) < 1e-9
+    l45 = dataset_recon_loss(codec, [clip], StageConfig.acoustic())
+    l450 = dataset_recon_loss(codec, [clip], StageConfig.finetune())
+    assert float(m1.data) > 0.0
+    assert abs((l450 - l45) - 405.0 * float(m1.data)) < 1e-9
     assert abs(l45 - (float(t1.data) + 45.0 * float(m1.data))) < 1e-9
+    assert dataset_recon_loss(codec, [clip], StageConfig.semantic()) == l45
 
 
 def test_reconstruction_mel_matches_signal_mel():

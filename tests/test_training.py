@@ -202,12 +202,14 @@ def test_stage_config_semantic_requires_both():
 
 
 def test_stage_config_finetune_pins():
-    with pytest.raises(ValueError):
+    # the mel weight follows the stage and cannot be set; lr is pinned by value
+    with pytest.raises(TypeError):
         StageConfig.finetune(lam_mel=45.0)
     with pytest.raises(ValueError):
         StageConfig.finetune(lr=1e-3)
     cfg = StageConfig.finetune()
     assert cfg.lam_mel == 450.0 and cfg.lr == 5e-5
+    assert StageConfig.acoustic().lam_mel == StageConfig.semantic().lam_mel == 45.0
 
 
 def test_stage_config_rejects_nonpositive_steps():
@@ -215,6 +217,12 @@ def test_stage_config_rejects_nonpositive_steps():
         StageConfig.acoustic(steps=0)
     with pytest.raises(ValueError):
         StageConfig.acoustic(batch_size=0)
+
+
+def test_stage_config_accepts_schedule_edges():
+    # no checkpoints, a constant rate and a decay to zero are all valid
+    StageConfig.acoustic(checkpoint_every=0, log_every=1, lr=1e-3, lr_min=1e-3)
+    StageConfig.acoustic(lr_min=0.0)
 
 
 def test_stage_from_string():
