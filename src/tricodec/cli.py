@@ -24,6 +24,7 @@ from .losses import ContrastiveConfig, MaskSpec, mel_distance, stft_distance
 from .model import Codec, CodecConfig
 from .quantizer import TokenStreamError, load_tokens, save_tokens, utilization
 from .signal import (
+    SAMPLE_RATE,
     AudioClip,
     Domain,
     WavError,
@@ -111,6 +112,9 @@ def load_train_config(path) -> dict:
         Stage.from_string(raw["stage"])
     except ValueError as e:
         raise ConfigError(f"config key 'stage': {e}") from None
+    fraction = raw.get("finetune_fraction", 0.5)
+    if not 0 < fraction <= 1:
+        raise ConfigError(f"config key 'finetune_fraction' must be in (0, 1], got {fraction}")
     return raw
 
 
@@ -154,7 +158,7 @@ def _load_training_clips(manifest_path) -> list:
     clips = []
     for wav_path, domain in read_manifest(manifest_path):
         clip = load_wav(wav_path)
-        clip = resample(clip, 24000)
+        clip = resample(clip, SAMPLE_RATE)
         clip.domain = domain
         clips.append(clip)
     if not clips:
@@ -186,7 +190,7 @@ def cmd_train(args) -> int:
 
 def cmd_encode(args) -> int:
     codec = Codec.load(args.ckpt)
-    clip = resample(load_wav(args.wav), codec.config.sample_rate)
+    clip = resample(load_wav(args.wav), SAMPLE_RATE)
     domain = Domain.from_string(args.domain) if args.domain else None
     stream = codec.encode(clip, domain=domain)
     save_tokens(args.out, stream)
@@ -266,10 +270,10 @@ def run_eval(codec: Codec, entries, domain_ids: bool = False) -> EvalReport:
     stft_acc: dict = {}
     streams = []
     for wav_path, domain in entries:
-        clip = resample(load_wav(wav_path), codec.config.sample_rate)
+        clip = resample(load_wav(wav_path), SAMPLE_RATE)
         out = codec.forward(clip.samples, domain=domain if domain_ids else None, decode=True)
-        ref = AudioClip(out.samples, codec.config.sample_rate)
-        recon = AudioClip(out.wave.data, codec.config.sample_rate)
+        ref = AudioClip(out.samples, SAMPLE_RATE)
+        recon = AudioClip(out.wave.data, SAMPLE_RATE)
         streams.append(out.stream)
         mel_acc.setdefault(domain.value, []).append(mel_distance(ref, recon))
         stft_acc.setdefault(domain.value, []).append(stft_distance(ref, recon))

@@ -26,7 +26,7 @@ from .autodiff import (
     tabs,
     tmean,
 )
-from .signal import DEFAULT_MEL, AudioClip, StftConfig, mel_filterbank, mel_spectrogram, stft_magnitude
+from .signal import HOP, N_FFT, SAMPLE_RATE, AudioClip, mel_filterbank, mel_spectrogram, stft_magnitude
 
 __all__ = [
     "MaskSpec",
@@ -128,16 +128,15 @@ def contrastive_loss(
 def _mel_tensor(x: Tensor, sample_rate: int) -> Tensor:
     """Mel magnitude frames of a waveform Tensor, differentiable; shape
     (frames, n_mels)."""
-    fft, hop = DEFAULT_MEL.stft.fft_size, DEFAULT_MEL.stft.hop
-    fb = mel_filterbank(sample_rate, fft, DEFAULT_MEL.n_mels, DEFAULT_MEL.fmin, DEFAULT_MEL.fmax)
-    return matmul(stft_mag(x, fft, hop), Tensor(fb.T.astype(x.dtype.name)))
+    fb = mel_filterbank(sample_rate)
+    return matmul(stft_mag(x, N_FFT, HOP), Tensor(fb.T.astype(x.dtype.name)))
 
 
 def _as_wave_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
-def reconstruction_terms(x, xhat, sample_rate: int = 24000) -> tuple:
+def reconstruction_terms(x, xhat, sample_rate: int = SAMPLE_RATE) -> tuple:
     """(time-domain L1, mel-domain L1) between two waveforms, truncated to
     the shorter length. The mel term is zero for clips shorter than one
     analysis frame."""
@@ -146,7 +145,7 @@ def reconstruction_terms(x, xhat, sample_rate: int = 24000) -> tuple:
     xt = xt[:n] if xt.shape[0] != n else xt
     yt = yt[:n] if yt.shape[0] != n else yt
     time_l1 = tmean(tabs(sub(xt, yt)))
-    if n < DEFAULT_MEL.stft.fft_size:
+    if n < N_FFT:
         return time_l1, Tensor(np.zeros((), dtype=xt.dtype))
     mel_l1 = tmean(tabs(sub(_mel_tensor(xt, sample_rate), _mel_tensor(yt, sample_rate))))
     return time_l1, mel_l1
@@ -177,8 +176,7 @@ def stft_distance(x: AudioClip, xhat: AudioClip) -> float:
     a, b, sr = _matched_clips(x, xhat)
     vals = []
     for fft in (512, 1024, 2048):
-        cfg = StftConfig(fft_size=fft, hop=fft // 4)
-        sa = stft_magnitude(AudioClip(a, sr), cfg)
-        sb = stft_magnitude(AudioClip(b, sr), cfg)
+        sa = stft_magnitude(AudioClip(a, sr), fft, fft // 4)
+        sb = stft_magnitude(AudioClip(b, sr), fft, fft // 4)
         vals.append(np.mean(np.abs(sa - sb)))
     return float(np.mean(vals))

@@ -24,7 +24,7 @@ from .quantizer import (
     quantizer_param_shapes,
     simvq_embed,
 )
-from .signal import AudioClip, Domain
+from .signal import SAMPLE_RATE, AudioClip, Domain
 
 __all__ = ["CodecConfig", "ForwardPass", "Codec"]
 
@@ -37,7 +37,6 @@ class CodecConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     quantizer: QuantizerConfig = field(default_factory=QuantizerConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
-    sample_rate: int = 24000
 
     def __post_init__(self):
         if self.encoder.downsample != self.decoder.upsample:
@@ -46,10 +45,15 @@ class CodecConfig:
             )
         if self.quantizer.hidden != self.encoder.hidden or self.decoder.hidden != self.encoder.hidden:
             raise ValueError("encoder, quantizer, and decoder hidden sizes must agree")
-        if self.sample_rate % self.encoder.downsample != 0:
+        if SAMPLE_RATE % self.encoder.downsample != 0:
             raise ValueError(
-                f"sample_rate {self.sample_rate} not divisible by downsample {self.encoder.downsample}"
+                f"sample rate {SAMPLE_RATE} not divisible by downsample {self.encoder.downsample}"
             )
+
+    @property
+    def sample_rate(self) -> int:
+        """The codec rate, ``signal.SAMPLE_RATE``; no config sets it."""
+        return SAMPLE_RATE
 
     @property
     def downsample(self) -> int:
@@ -57,7 +61,7 @@ class CodecConfig:
 
     @property
     def tokens_per_second(self) -> int:
-        return self.sample_rate // self.downsample
+        return SAMPLE_RATE // self.downsample
 
     @classmethod
     def full(cls) -> "CodecConfig":
@@ -96,8 +100,12 @@ class CodecConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "CodecConfig":
         """Inverse of ``to_dict``. Keys of since-removed options, which older
-        checkpoints still carry, are dropped."""
+        checkpoints still carry, are dropped; an older config's
+        ``sample_rate`` must be the codec rate."""
         d = dict(d)
+        rate = d.pop("sample_rate", SAMPLE_RATE)
+        if rate != SAMPLE_RATE:
+            raise ValueError(f"sample_rate {rate} is not the codec rate {SAMPLE_RATE}")
         enc = {k: v for k, v in d.pop("encoder").items() if k not in _REMOVED_KEYS}
         moe = MoEConfig(**enc.pop("moe"))
         return cls(
@@ -206,7 +214,6 @@ class Codec:
             self.config.quantizer,
             domain=domain,
             frame_rate=self.config.tokens_per_second,
-            sample_rate=self.config.sample_rate,
             book=self._effective_book(),
         )
 
@@ -229,9 +236,9 @@ class Codec:
         return ForwardPass(x, conv_feats, frames, stream, codewords, quantized, wave)
 
     def _at_codec_rate(self, clip: AudioClip) -> np.ndarray:
-        if clip.sample_rate != self.config.sample_rate:
+        if clip.sample_rate != SAMPLE_RATE:
             raise ValueError(
-                f"clip rate {clip.sample_rate} != codec rate {self.config.sample_rate}; resample first"
+                f"clip rate {clip.sample_rate} != codec rate {SAMPLE_RATE}; resample first"
             )
         return clip.samples
 
@@ -243,13 +250,13 @@ class Codec:
     @no_grad()
     def decode_tokens(self, stream: TokenStream) -> AudioClip:
         wave = self.decode_frames(simvq_embed(stream.ids, self.params))
-        return AudioClip(wave.data, self.config.sample_rate)
+        return AudioClip(wave.data, SAMPLE_RATE)
 
     @no_grad()
     def reconstruct(self, clip: AudioClip, domain: Optional[Domain] = None) -> AudioClip:
         """Encode and decode in one forward pass; the ids are not projected again."""
         out = self.forward(self._at_codec_rate(clip), domain=domain, decode=True)
-        return AudioClip(out.wave.data, self.config.sample_rate)
+        return AudioClip(out.wave.data, SAMPLE_RATE)
 
     # ----- persistence ----------------------------------------------------
 

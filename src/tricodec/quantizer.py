@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import Tensor, gather_rows, matmul, mul, no_grad, passthrough, stop_gradient, sub, tmean, transpose, tsum
-from .signal import Domain
+from .signal import SAMPLE_RATE, Domain
 
 __all__ = [
     "QuantizerConfig",
@@ -77,7 +77,7 @@ class TokenStream:
 
     ids: np.ndarray
     frame_rate: int = 75
-    source_sample_rate: int = 24000
+    source_sample_rate: int = SAMPLE_RATE
     codebook_size: int = 16384
 
     def __post_init__(self):
@@ -186,7 +186,7 @@ def quantize(
     cfg: QuantizerConfig,
     domain: Optional[Domain] = None,
     frame_rate: int = 75,
-    sample_rate: int = 24000,
+    sample_rate: int = SAMPLE_RATE,
     book: Optional[tuple] = None,
 ) -> tuple:
     """Nearest-codeword assignment under squared Euclidean distance.

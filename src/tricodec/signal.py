@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,10 +22,11 @@ import numpy as np
 __all__ = [
     "Domain",
     "AudioClip",
-    "StftConfig",
-    "MelConfig",
-    "DEFAULT_STFT",
-    "DEFAULT_MEL",
+    "SAMPLE_RATE",
+    "N_FFT",
+    "HOP",
+    "N_MELS",
+    "MEL_FMAX",
     "WavError",
     "WavParseError",
     "WavUnsupportedError",
@@ -88,37 +89,21 @@ class AudioClip:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class StftConfig:
-    """Analysis settings: Hann-windowed frames lie fully inside the signal
-    (no padding), so frame count = floor((len - fft_size) / hop) + 1."""
+# the codec's one sample rate, Hz: training resamples every clip to it and
+# the codec encodes and decodes at it
+SAMPLE_RATE = 24000
 
-    fft_size: int = 1024
-    hop: int = 256
+# spectrogram analysis: Hann-windowed frames of N_FFT samples, HOP apart,
+# lying fully inside the signal, so frame count = floor((len - N_FFT) / HOP) + 1
+N_FFT = 1024
+HOP = 256
 
-    def __post_init__(self):
-        if self.fft_size < 2 or (self.fft_size & (self.fft_size - 1)) != 0:
-            raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-        if not (0 < self.hop <= self.fft_size):
-            raise ValueError(f"hop must be in (0, fft_size], got {self.hop}")
+# mel filterbank: N_MELS triangular filters spanning 0 Hz to MEL_FMAX
+N_MELS = 80
+MEL_FMAX = 12000.0
 
-
-@dataclass(frozen=True)
-class MelConfig:
-    n_mels: int = 80
-    fmin: float = 0.0
-    fmax: float = 12000.0
-    stft: StftConfig = field(default_factory=StftConfig)
-
-    def __post_init__(self):
-        if self.n_mels < 1:
-            raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
-        if not self.fmin < self.fmax:
-            raise ValueError(f"need fmin < fmax, got {self.fmin} >= {self.fmax}")
-
-
-DEFAULT_STFT = StftConfig()
-DEFAULT_MEL = MelConfig()
+# windowed-sinc filter taps per output sample of ``resample``
+RESAMPLE_TAPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +231,16 @@ def save_wav(path, clip: AudioClip, encoding: str = "pcm16") -> None:
 
 
 @lru_cache(maxsize=32)
-def _polyphase_filters(up: int, down: int, taps: int) -> np.ndarray:
-    """One windowed-sinc filter per output phase, shape (up, taps).
+def _polyphase_filters(up: int, down: int) -> np.ndarray:
+    """One windowed-sinc filter per output phase, shape (up, RESAMPLE_TAPS).
 
     Phase p covers fractional position p/up between input samples; the
     low-pass cutoff is the narrower of the two Nyquist bands.
     """
-    half = taps // 2
+    half = RESAMPLE_TAPS // 2
     fc = min(1.0, up / down)
-    j = np.arange(taps, dtype=np.float64)
-    filters = np.empty((up, taps))
+    j = np.arange(RESAMPLE_TAPS, dtype=np.float64)
+    filters = np.empty((up, RESAMPLE_TAPS))
     for p in range(up):
         d = j - (half - 1) - p / up
         w = np.where(np.abs(d) < half, 0.5 * (1.0 + np.cos(np.pi * d / half)), 0.0)
@@ -264,11 +249,12 @@ def _polyphase_filters(up: int, down: int, taps: int) -> np.ndarray:
     return filters
 
 
-def resample(clip: AudioClip, target_rate: int, taps: int = 64) -> AudioClip:
-    """Rational-rate resampling with a 64-tap windowed-sinc polyphase filter.
+def resample(clip: AudioClip, target_rate: int) -> AudioClip:
+    """Rational-rate resampling with a windowed-sinc polyphase filter of
+    RESAMPLE_TAPS taps.
 
     Duration is preserved within one output sample; equal rates return the
-    samples unchanged. Output n reads the ``taps`` padded inputs from
+    samples unchanged. Output n reads the RESAMPLE_TAPS padded inputs from
     floor(n·down/up) through filter phase n·down mod up. The outputs
     n ≡ r (mod up) share one phase and read windows ``down`` inputs apart,
     so each residue r is one matrix-vector product over a strided view of
@@ -285,10 +271,10 @@ def resample(clip: AudioClip, target_rate: int, taps: int = 64) -> AudioClip:
     n_in = len(clip.samples)
     n_out = (2 * n_in * up + down) // (2 * down)  # round(n_in * up / down)
 
-    half = taps // 2
-    filters = _polyphase_filters(up, down, taps)
-    padded = np.pad(np.asarray(clip.samples, dtype=np.float64), (half - 1, taps))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
+    half = RESAMPLE_TAPS // 2
+    filters = _polyphase_filters(up, down)
+    padded = np.pad(np.asarray(clip.samples, dtype=np.float64), (half - 1, RESAMPLE_TAPS))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, RESAMPLE_TAPS)
     out = np.empty(n_out)
     for r in range(min(up, n_out)):
         dst = out[r::up]
@@ -310,12 +296,12 @@ def _frame(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, fft_size)[::hop]
 
 
-def stft_magnitude(clip: AudioClip, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:
+def stft_magnitude(clip: AudioClip, fft_size: int = N_FFT, hop: int = HOP) -> np.ndarray:
     """Magnitude spectrogram, shape (fft_size//2 + 1, n_frames).
 
     Frames lie fully inside the signal: n_frames = floor((len - fft)/hop) + 1.
     """
-    frames = _frame(clip.samples, cfg.fft_size, cfg.hop) * np.hanning(cfg.fft_size)
+    frames = _frame(clip.samples, fft_size, hop) * np.hanning(fft_size)
     return np.abs(np.fft.rfft(frames, axis=1)).T
 
 
@@ -328,12 +314,13 @@ def _mel_to_hz(m):
 
 
 @lru_cache(maxsize=16)
-def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int, fmin: float, fmax: float) -> np.ndarray:
-    """Triangular mel filterbank (HTK scale), shape (n_mels, fft//2 + 1)."""
-    if fmax > sample_rate / 2:
-        raise ValueError(f"fmax {fmax} exceeds Nyquist {sample_rate / 2}")
-    pts = _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2))
-    bins = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
+def mel_filterbank(sample_rate: int) -> np.ndarray:
+    """Triangular mel filterbank (HTK scale) from 0 Hz to MEL_FMAX for
+    N_FFT-point frames at ``sample_rate``, shape (N_MELS, N_FFT//2 + 1)."""
+    if MEL_FMAX > sample_rate / 2:
+        raise ValueError(f"mel fmax {MEL_FMAX} exceeds Nyquist {sample_rate / 2}")
+    pts = _mel_to_hz(np.linspace(0.0, _hz_to_mel(MEL_FMAX), N_MELS + 2))
+    bins = np.arange(N_FFT // 2 + 1) * (sample_rate / N_FFT)
     lo, ctr, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
     rising = (bins - lo) / np.maximum(ctr - lo, 1e-12)
     falling = (hi - bins) / np.maximum(hi - ctr, 1e-12)
@@ -341,15 +328,14 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int, fmin: float, fm
     rowsums = fb.sum(axis=1)
     if np.any(rowsums <= 0):
         bad = int(np.argmin(rowsums))
-        raise ValueError(f"mel filter {bad} covers no FFT bin; increase fft_size or n_mels spacing")
+        raise ValueError(f"mel filter {bad} covers no FFT bin at {sample_rate} Hz")
     fb.flags.writeable = False
     return fb
 
 
-def mel_spectrogram(clip: AudioClip, cfg: MelConfig = DEFAULT_MEL) -> np.ndarray:
-    """Mel magnitude spectrogram: filterbank @ stft_magnitude, (n_mels, frames)."""
-    fb = mel_filterbank(clip.sample_rate, cfg.stft.fft_size, cfg.n_mels, cfg.fmin, cfg.fmax)
-    return fb @ stft_magnitude(clip, cfg.stft)
+def mel_spectrogram(clip: AudioClip) -> np.ndarray:
+    """Mel magnitude spectrogram: filterbank @ stft_magnitude, (N_MELS, frames)."""
+    return mel_filterbank(clip.sample_rate) @ stft_magnitude(clip)
 
 
 def spectral_flatness(clip: AudioClip) -> float:
@@ -434,21 +420,21 @@ def _synth_sound(rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
 _SYNTH = {Domain.SPEECH: _synth_speech, Domain.MUSIC: _synth_music, Domain.SOUND: _synth_sound}
 
 
-def gen_toy_dataset(seed: int, per_domain: int, duration: float, sample_rate: int = 24000) -> list:
+def gen_toy_dataset(seed: int, per_domain: int, duration: float) -> list:
     """Deterministic synthetic corpus: per_domain clips for each of speech,
-    music, and sound, peak-normalized at ``sample_rate``."""
+    music, and sound, peak-normalized at SAMPLE_RATE."""
     if per_domain < 1:
         raise ValueError(f"per_domain must be >= 1, got {per_domain}")
     rng = np.random.default_rng(seed)
-    n = int(round(duration * sample_rate))
+    n = int(round(duration * SAMPLE_RATE))
     clips = []
     for domain in (Domain.SPEECH, Domain.MUSIC, Domain.SOUND):
         synth = _SYNTH[domain]
         for _ in range(per_domain):
-            x = synth(rng, n, sample_rate)
+            x = synth(rng, n, SAMPLE_RATE)
             clip = AudioClip(
                 samples=np.clip(x / max(np.max(np.abs(x)), 1e-12) * 0.95, -1.0, 1.0),
-                sample_rate=sample_rate,
+                sample_rate=SAMPLE_RATE,
                 domain=domain,
             )
             clips.append(clip)

@@ -26,7 +26,7 @@ from .losses import (
 )
 from .model import Codec, CodecConfig
 from .quantizer import alignment_loss, commitment_loss, simvq_embed  # noqa: F401 - perfbench wraps it
-from .signal import AudioClip, Domain, spectral_flatness
+from .signal import SAMPLE_RATE, AudioClip, Domain, spectral_flatness
 
 __all__ = [
     "Stage",
@@ -96,6 +96,8 @@ class StageConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0 <= self.lr_min <= self.lr:
             raise ValueError(f"lr_min must be in [0, lr={self.lr}], got {self.lr_min}")
+        if not 0 <= self.lam_c < float("inf"):
+            raise ValueError(f"lam_c must be finite and >= 0, got {self.lam_c}")
         if self.stage == Stage.FINETUNE and self.lr != 5e-5:
             raise ValueError("finetune stage is pinned to lr=5e-5")
 
@@ -241,8 +243,7 @@ def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.rand
     maskset = sample_mask(len(x) // codec.config.downsample, cfg.mask, rng) if semantic else None
     out = codec.forward(x, domain=clip.domain, mask=maskset.mask if semantic else None, decode=True)
 
-    sample_rate = codec.config.sample_rate
-    time_l1, mel_l1 = reconstruction_terms(Tensor(out.samples), out.wave, sample_rate=sample_rate)
+    time_l1, mel_l1 = reconstruction_terms(Tensor(out.samples), out.wave)
     recon = add(time_l1, mul(Tensor(np.asarray(cfg.lam_mel, dtype=codec.dtype)), mel_l1))
     commit = commitment_loss(out.frames, out.quantized)
     align = alignment_loss(out.frames, out.codewords)
@@ -352,6 +353,13 @@ def train_stage(
     unlabeled = sum(clip.domain is None for clip in clips)
     if unlabeled:
         raise TrainingError(f"{unlabeled} of {len(clips)} training clips carry no domain label")
+    off_rate = [clip.sample_rate for clip in clips if clip.sample_rate != SAMPLE_RATE]
+    if off_rate:
+        rates = ", ".join(f"{r} Hz" for r in sorted(set(off_rate)))
+        raise TrainingError(
+            f"{len(off_rate)} of {len(clips)} training clips are at {rates}, not the codec rate "
+            f"{SAMPLE_RATE} Hz; resample them first"
+        )
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     log_path = run_dir / "train_log.jsonl"

@@ -182,11 +182,14 @@ def test_train_removed_recipe_key_fails(tmp_path, capsys, key, value):
         ({"lr": float("nan")}, "lr"),
         ({"lr_min": -1e-6}, "lr_min"),
         ({"lr": 1e-3, "lr_min": 2e-3}, "lr_min"),
+        ({"lam_c": -1.0}, "lam_c"),
+        ({"stage": "semantic", "lam_c": float("nan")}, "lam_c"),
+        ({"lam_c": float("inf")}, "lam_c"),
         ({"mask": {"p": 2.0}}, "mask proportion p"),
         ({"contrastive": {"n_distractors": 0}}, "n_distractors"),
     ],
     ids=["log_every=0", "checkpoint_every=-5", "lr=-1", "lr=0", "lr=NaN", "lr_min=-1e-6", "lr_min>lr",
-         "mask.p=2", "contrastive.n_distractors=0"],
+         "lam_c=-1", "semantic-lam_c=NaN", "lam_c=inf", "mask.p=2", "contrastive.n_distractors=0"],
 )
 def test_train_bad_stage_value_is_config_error(tmp_path, capsys, overrides, named):
     # rejected while the config is read, before any clip is loaded
@@ -195,6 +198,22 @@ def test_train_bad_stage_value_is_config_error(tmp_path, capsys, overrides, name
     err = capsys.readouterr().err
     assert err.startswith("error: category=config:")
     assert named in err
+
+
+@pytest.mark.parametrize("fraction", [-3.0, 0.0, 0, 7.0, 1.0001, float("nan")])
+def test_train_finetune_fraction_out_of_range_is_config_error(tmp_path, capsys, fraction):
+    # rejected while the config is read, before any clip is loaded or curated
+    p = write_cfg(tmp_path, base_cfg(stage="finetune", finetune_fraction=fraction))
+    assert main(["train", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: category=config:")
+    assert "'finetune_fraction' must be in (0, 1]" in err
+
+
+@pytest.mark.parametrize("fraction", [1e-6, 0.5, 1, 1.0])
+def test_config_finetune_fraction_in_range_accepted(tmp_path, fraction):
+    raw = load_train_config(write_cfg(tmp_path, base_cfg(stage="finetune", finetune_fraction=fraction)))
+    assert raw["finetune_fraction"] == fraction
 
 
 def test_config_invalid_json(tmp_path):

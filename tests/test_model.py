@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,11 +63,13 @@ def test_config_rejects_hidden_mismatch():
 
 
 def test_config_rejects_indivisible_rate():
+    # a stride product of 14 does not divide the 24 kHz codec rate
     cfg = micro_config()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not divisible"):
         CodecConfig(
-            encoder=cfg.encoder, quantizer=cfg.quantizer, decoder=cfg.decoder,
-            sample_rate=24001,
+            encoder=replace(cfg.encoder, strides=(7, 2)),
+            quantizer=cfg.quantizer,
+            decoder=replace(cfg.decoder, strides=(7, 2)),
         )
 
 
@@ -336,23 +339,37 @@ def test_decode_depends_only_on_ids():
     assert np.array_equal(w1.samples, w2.samples)
 
 
-def test_checkpoint_with_removed_config_keys_loads(tmp_path):
-    # checkpoints written before mlp_dim, base_mean and base_std were removed
-    # still carry those keys in their embedded config
-    codec = Codec(CodecConfig.toy(), seed=5)
-    path = tmp_path / "old.tckp"
+def save_with_old_config_keys(codec, path, sample_rate):
+    """Save ``codec`` with the keys of removed options in its embedded config."""
     codec.save(path)
     arrays = ckpt.load_tensors(path)
     cfg = json.loads(arrays["meta/config_json"].tobytes())
     cfg["encoder"]["mlp_dim"] = 256
     cfg["quantizer"].update(base_mean=4.0, base_std=1.0)
+    cfg["sample_rate"] = sample_rate
     arrays["meta/config_json"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
     ckpt.save_tensors(path, arrays)
 
+
+def test_checkpoint_with_removed_config_keys_loads(tmp_path):
+    # checkpoints written before mlp_dim, base_mean, base_std and sample_rate
+    # were removed still carry those keys in their embedded config
+    codec = Codec(CodecConfig.toy(), seed=5)
+    path = tmp_path / "old.tckp"
+    save_with_old_config_keys(codec, path, sample_rate=24000)
+
     loaded = load_float64(path)  # the codec's own dtype, so ids compare exactly
     assert loaded.config == codec.config
+    assert "sample_rate" not in codec.config.to_dict()
     clip = tone(4800, hz=330.0)
     assert np.array_equal(loaded.encode(clip).ids, codec.encode(clip).ids)
+
+
+def test_checkpoint_at_another_rate_is_rejected(tmp_path):
+    path = tmp_path / "old16k.tckp"
+    save_with_old_config_keys(Codec(micro_config(), seed=5), path, sample_rate=16000)
+    with pytest.raises(CheckpointError, match="sample_rate 16000"):
+        Codec.load(path)
 
 
 # ---------------------------------------------------------------------------

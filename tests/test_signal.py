@@ -9,10 +9,13 @@ import pytest
 
 from tricodec.signal import (
     _polyphase_filters,
+    HOP,
+    MEL_FMAX,
+    N_FFT,
+    N_MELS,
+    RESAMPLE_TAPS,
     AudioClip,
     Domain,
-    MelConfig,
-    StftConfig,
     WavError,
     WavParseError,
     WavUnsupportedError,
@@ -225,17 +228,18 @@ def test_resample_rejects_bad_rate():
         resample(sine(440, 24000, 0.01), 0)
 
 
-def gathered_resample(x, src, dst, taps=64):
+def gathered_resample(x, src, dst):
     """The resampler's formula evaluated directly: every output's window of
-    padded inputs gathered into one (n_out, taps) array, dotted with its
-    phase's filter."""
+    padded inputs gathered into one (n_out, RESAMPLE_TAPS) array, dotted
+    with its phase's filter."""
+    taps = RESAMPLE_TAPS
     g = math.gcd(src, dst)
     up, down = dst // g, src // g
     n_out = (2 * len(x) * up + down) // (2 * down)
     padded = np.pad(x, (taps // 2 - 1, taps))
     steps = np.arange(n_out, dtype=np.int64) * down
     windows = padded[(steps // up)[:, None] + np.arange(taps)[None, :]]
-    out = np.einsum("nt,nt->n", windows, _polyphase_filters(up, down, taps)[steps % up])
+    out = np.einsum("nt,nt->n", windows, _polyphase_filters(up, down)[steps % up])
     return np.clip(out, -1.0, 1.0)
 
 
@@ -278,10 +282,12 @@ def test_stft_zero_clip_zero_magnitudes():
 
 
 def test_stft_framing_law():
-    cfg = StftConfig(fft_size=1024, hop=256)
     for n in (1024, 1025, 4096, 5000):
-        out = stft_magnitude(AudioClip(np.zeros(n), 24000), cfg)
+        out = stft_magnitude(AudioClip(np.zeros(n), 24000), 1024, 256)
         assert out.shape == (513, (n - 1024) // 256 + 1)
+    out = stft_magnitude(AudioClip(np.zeros(5000), 24000), 512, 128)
+    assert out.shape == (257, (5000 - 512) // 128 + 1)
+
 
 
 def test_stft_too_short_error():
@@ -292,14 +298,14 @@ def test_stft_too_short_error():
 def test_stft_sine_peaks_at_bin():
     # bin-center frequency: bin 32 of fft 1024 at 24 kHz = 750 Hz
     clip = sine(750, 24000, 0.5)
-    mag = stft_magnitude(clip, StftConfig(1024, 256))
+    mag = stft_magnitude(clip, 1024, 256)
     assert np.all(np.argmax(mag, axis=0) == 32)
 
 
 def test_stft_parseval_hann_window():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(1024)
-    mag = stft_magnitude(AudioClip(x, 24000), StftConfig(1024, 256))
+    mag = stft_magnitude(AudioClip(x, 24000), 1024, 256)
     # the energy is that of the Hann-windowed frame; interior bins of the
     # one-sided spectrum count twice
     sq = mag[:, 0] ** 2
@@ -309,11 +315,9 @@ def test_stft_parseval_hann_window():
 
 def test_mel_equals_filterbank_matmul():
     clip = sine(1234, 24000, 0.3)
-    cfg = MelConfig()
-    mel = mel_spectrogram(clip, cfg)
-    fb = mel_filterbank(24000, cfg.stft.fft_size, cfg.n_mels, cfg.fmin, cfg.fmax)
-    want = fb @ stft_magnitude(clip, cfg.stft)
-    assert mel.shape == (80, want.shape[1])
+    mel = mel_spectrogram(clip)
+    want = mel_filterbank(24000) @ stft_magnitude(clip, N_FFT, HOP)
+    assert mel.shape == (N_MELS, want.shape[1]) == (80, want.shape[1])
     assert np.array_equal(mel, want)
 
 
@@ -324,24 +328,28 @@ def test_mel_linear_in_amplitude():
 
 
 def test_mel_filterbank_rows_positive():
-    fb = mel_filterbank(24000, 1024, 80, 0.0, 12000.0)
+    fb = mel_filterbank(24000)
     assert fb.shape == (80, 513)
     assert np.all(fb.sum(axis=1) > 0)
     assert np.all(fb >= 0)
 
 
-def test_mel_config_validation():
-    with pytest.raises(ValueError):
-        MelConfig(n_mels=0)
-    with pytest.raises(ValueError):
-        MelConfig(fmin=500.0, fmax=100.0)
+def test_mel_filterbank_spans_zero_to_fmax():
+    # the first filter rises from 0 Hz; the last falls to zero at MEL_FMAX,
+    # which at 24 kHz is the top FFT bin
+    fb = mel_filterbank(24000)
+    assert MEL_FMAX == 24000 / 2
+    assert fb[0, 0] == 0 and fb[0, 1] > 0
+    assert np.max(fb[:, -1]) < 1e-12 and fb[-1, -2] > 0
 
 
-def test_stft_config_validation():
-    with pytest.raises(ValueError):
-        StftConfig(fft_size=1000, hop=256)  # not a power of two
-    with pytest.raises(ValueError):
-        StftConfig(fft_size=1024, hop=0)
+def test_mel_filterbank_rate_checks():
+    # clip rates come from input files: below 2 * MEL_FMAX the band passes
+    # Nyquist, and far above it the lowest filter falls between FFT bins
+    with pytest.raises(ValueError, match="Nyquist"):
+        mel_filterbank(16000)
+    with pytest.raises(ValueError, match="covers no FFT bin"):
+        mel_filterbank(192000)
 
 
 def test_spectral_flatness_orders_noise_above_tone():

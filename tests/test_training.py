@@ -12,7 +12,7 @@ from tricodec.encoder import EncoderConfig, MoEConfig
 from tricodec.losses import ContrastiveConfig, MaskSpec
 from tricodec.model import Codec, CodecConfig
 from tricodec.quantizer import QuantizerConfig, alignment_loss, simvq_embed
-from tricodec.signal import AudioClip, Domain, gen_toy_dataset, spectral_flatness
+from tricodec.signal import AudioClip, Domain, gen_toy_dataset, resample, spectral_flatness
 from tricodec.training import (
     AdamW,
     DivergenceError,
@@ -337,6 +337,17 @@ def test_resumed_stage_rejects_unlabeled_clip_before_any_write(acoustic_run, tmp
         train_stage(clips, fcfg, run, init_from=res.final_checkpoint)
     assert "domain" in str(e.value)
     assert list(run.iterdir()) == []
+
+
+def test_clip_off_the_codec_rate_rejected_before_any_write(tmp_path):
+    # Codec.encode rejects a clip at another rate, so training must too
+    clips = micro_clips()
+    clips[1] = resample(clips[1], 16000)
+    run = tmp_path / "r"
+    cfg = StageConfig.acoustic(steps=2, batch_size=1, checkpoint_every=1)
+    with pytest.raises(TrainingError, match="1 of 3 training clips are at 16000 Hz, not the codec rate 24000 Hz"):
+        train_stage(clips, cfg, run, model_config=micro_config())
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("stage", [Stage.ACOUSTIC, Stage.SEMANTIC])
