@@ -36,6 +36,7 @@ from .signal import (
     write_manifest,
 )
 from .training import (
+    ConfigError,
     DivergenceError,
     Stage,
     StageConfig,
@@ -46,10 +47,6 @@ from .training import (
 )
 
 __all__ = ["main", "EvalReport", "load_train_config"]
-
-
-class ConfigError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +177,8 @@ def cmd_train(args) -> int:
             f"{cfg.stage.name.lower()} stage config must set 'init_checkpoint' to a completed "
             f"acoustic-stage checkpoint"
         )
-    model_config = CodecConfig.toy() if raw.get("model", "toy") == "toy" else CodecConfig.full()
+    model = raw.get("model", None if init_from else "toy")  # a checkpoint brings its own
+    model_config = getattr(CodecConfig, model)() if model else None
     result = train_stage(clips, cfg, raw["out_dir"], model_config=model_config, init_from=init_from)
     print(f"final checkpoint: {result.final_checkpoint}")
     print(f"log: {result.log_path}")
@@ -201,11 +199,11 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     codec = Codec.load(args.ckpt)
     stream = load_tokens(args.tokens)
-    want = (codec.config.quantizer.codebook_size, codec.config.tokens_per_second)
-    if (stream.codebook_size, stream.frame_rate) != want:
+    want = (codec.config.quantizer.codebook_size, codec.config.tokens_per_second, SAMPLE_RATE)
+    if (stream.codebook_size, stream.frame_rate, stream.source_sample_rate) != want:
         raise TokenStreamError(
-            f"{args.tokens}: codebook size {stream.codebook_size} at {stream.frame_rate} tokens/s, "
-            f"but the checkpoint decodes codebook size {want[0]} at {want[1]} tokens/s"
+            f"{args.tokens}: book {stream.codebook_size}, {stream.frame_rate} tokens/s, {stream.source_sample_rate} Hz; "
+            f"the checkpoint decodes book {want[0]}, {want[1]} tokens/s, {want[2]} Hz"
         )
     clip = codec.decode_tokens(stream)
     save_wav(args.out, clip)

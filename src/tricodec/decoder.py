@@ -1,5 +1,7 @@
 """Waveform decoder: transposed-convolution mirror of the encoder, 320x
-upsampling from latent frames to 24 kHz samples, tanh output.
+upsampling from latent frames to 24 kHz samples, tanh output. Its input
+width and strides are the encoder's, which ``Codec`` passes in; it sets
+only its stage widths (``DecoderConfig``) and has ``OUT_KERNEL`` output taps.
 """
 
 from __future__ import annotations
@@ -10,46 +12,36 @@ import numpy as np
 
 from .autodiff import ShapeError, Tensor, conv1d, conv1d_transpose, gelu, reshape, tanh
 
-__all__ = ["DecoderConfig", "decoder_param_shapes", "init_decoder_params", "decode"]
+__all__ = ["OUT_KERNEL", "DecoderConfig", "decoder_param_shapes", "init_decoder_params", "decode"]
+
+# taps of the output convolution; odd, so its same-length padding is symmetric
+OUT_KERNEL = 7
 
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    strides: tuple = (2, 4, 5, 4, 2)
-    channels: tuple = (256, 128, 64, 32, 16)
-    hidden: int = 512
-    out_kernel: int = 7
-
-    def __post_init__(self):
-        if len(self.strides) != len(self.channels):
-            raise ValueError(
-                f"strides and channels lengths differ: {len(self.strides)} vs {len(self.channels)}"
-            )
-        if self.out_kernel % 2 != 1:
-            raise ValueError(f"out_kernel must be odd, got {self.out_kernel}")
-
-    @property
-    def upsample(self) -> int:
-        return int(np.prod(self.strides))
+    channels: tuple = (256, 128, 64, 32, 16)  # one per encoder stride
 
 
-def decoder_param_shapes(cfg: DecoderConfig) -> dict:
+def decoder_param_shapes(cfg: DecoderConfig, hidden: int, strides: tuple) -> dict:
     """Name -> shape of every 'dec.*' parameter, in init order."""
     s = {}
-    c_in = cfg.hidden
-    for i, (stride, c_out) in enumerate(zip(cfg.strides, cfg.channels)):
+    c_in = hidden
+    for i, (stride, c_out) in enumerate(zip(strides, cfg.channels)):
         s[f"dec.tconv{i}.w"] = (c_in, c_out, 2 * stride)
         s[f"dec.tconv{i}.b"] = (c_out,)
         c_in = c_out
-    s["dec.out.w"] = (1, c_in, cfg.out_kernel)
+    s["dec.out.w"] = (1, c_in, OUT_KERNEL)
     s["dec.out.b"] = (1,)
     return s
 
 
-def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator, dtype=np.float64) -> dict:
+def init_decoder_params(
+    cfg: DecoderConfig, hidden: int, strides: tuple, rng: np.random.Generator, dtype=np.float64
+) -> dict:
     """Fan-in scaled weights (C_in * K), zero biases."""
     p = {}
-    for name, shape in decoder_param_shapes(cfg).items():
+    for name, shape in decoder_param_shapes(cfg, hidden, strides).items():
         if name.endswith(".b"):
             p[name] = np.zeros(shape)
         else:
@@ -58,26 +50,27 @@ def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator, dtype=np.f
     return {k: v.astype(dtype) for k, v in p.items()}
 
 
-def decode(quantized: Tensor, params: dict, cfg: DecoderConfig) -> Tensor:
+def decode(quantized: Tensor, params: dict, strides: tuple) -> Tensor:
     """Quantized frames (T, hidden) to waveform (T * 320,), values in (-1, 1).
 
     Each transposed stage (kernel 2*stride) overshoots by one stride and is
     cropped symmetrically, mirroring the encoder's padding, so the length
-    law |decode(q)| = 320 * T holds exactly for every T >= 1.
+    law |decode(q)| = prod(strides) * T holds exactly for every T >= 1.
     """
     if quantized.ndim != 2:
         raise ShapeError(f"decode expects (frames, hidden), got shape {quantized.shape}")
     if quantized.shape[0] < 1:
         raise ValueError("decode requires at least one frame")
-    if quantized.shape[1] != cfg.hidden:
-        raise ShapeError(f"decode hidden dim {quantized.shape[1]} != config hidden {cfg.hidden}")
+    hidden = params["dec.tconv0.w"].shape[0]
+    if quantized.shape[1] != hidden:
+        raise ShapeError(f"decode hidden dim {quantized.shape[1]} != decoder input width {hidden}")
 
     x = quantized
-    for i, stride in enumerate(cfg.strides):
+    for i, stride in enumerate(strides):
         x = conv1d_transpose(x, params[f"dec.tconv{i}.w"], params[f"dec.tconv{i}.b"], stride=stride)
         lo = stride // 2
         x = x[lo : lo + x.shape[0] - stride]  # (T+1)*s -> T*s
         x = gelu(x)
-    half = cfg.out_kernel // 2
+    half = OUT_KERNEL // 2
     x = conv1d(x, params["dec.out.w"], params["dec.out.b"], stride=1, padding=(half, half))
     return reshape(tanh(x), (x.shape[0],))

@@ -63,7 +63,6 @@ class MoEConfig:
 class EncoderConfig:
     strides: tuple = (2, 4, 5, 4, 2)
     conv_channels: tuple = (32, 64, 128, 256, 512)
-    hidden: int = 512
     layers: int = 8
     heads: int = 8
     moe: MoEConfig = field(default_factory=MoEConfig)
@@ -73,12 +72,13 @@ class EncoderConfig:
             raise ValueError(
                 f"strides and conv_channels lengths differ: {len(self.strides)} vs {len(self.conv_channels)}"
             )
-        if self.conv_channels[-1] != self.hidden:
-            raise ValueError(
-                f"last conv channel count {self.conv_channels[-1]} must equal hidden {self.hidden}"
-            )
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
+
+    @property
+    def hidden(self) -> int:
+        """The latent width: the last conv stage's channel count."""
+        return self.conv_channels[-1]
 
     @property
     def downsample(self) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import quantizer
 from .autodiff import Tensor, no_grad
-from .decoder import DecoderConfig, decode, decoder_param_shapes, init_decoder_params
+from .decoder import OUT_KERNEL, DecoderConfig, decode, decoder_param_shapes, init_decoder_params
 from .encoder import EncoderConfig, MoEConfig, encode_frames, encoder_param_shapes, init_encoder_params
 from .quantizer import (
     QuantizerConfig,
@@ -31,20 +31,25 @@ __all__ = ["CodecConfig", "ForwardPass", "Codec"]
 # encoder and quantizer config keys of removed options, ignored on load
 _REMOVED_KEYS = ("mlp_dim", "base_mean", "base_std")
 
+# (section, key) of older config keys for values now set once, dropped on load
+_DUPLICATE_KEYS = (("encoder", "hidden"), ("quantizer", "hidden"), ("decoder", "hidden"),
+                   ("decoder", "strides"), ("decoder", "out_kernel"))
+
 
 @dataclass(frozen=True)
 class CodecConfig:
+    """The model's shape, each value set once. The encoder owns the latent
+    width, ``encoder.hidden`` (its last conv stage's width), which is also the
+    codebook's and the decoder's input width, and ``encoder.strides`` (the
+    320x framing), which the decoder also runs, one transposed stage each."""
+
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     quantizer: QuantizerConfig = field(default_factory=QuantizerConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
 
     def __post_init__(self):
-        if self.encoder.downsample != self.decoder.upsample:
-            raise ValueError(
-                f"encoder downsample {self.encoder.downsample} != decoder upsample {self.decoder.upsample}"
-            )
-        if self.quantizer.hidden != self.encoder.hidden or self.decoder.hidden != self.encoder.hidden:
-            raise ValueError("encoder, quantizer, and decoder hidden sizes must agree")
+        if len(self.decoder.channels) != len(self.encoder.strides):
+            raise ValueError(f"decoder channels {self.decoder.channels} need one per stride {self.encoder.strides}")
         if SAMPLE_RATE % self.encoder.downsample != 0:
             raise ValueError(
                 f"sample rate {SAMPLE_RATE} not divisible by downsample {self.encoder.downsample}"
@@ -75,23 +80,20 @@ class CodecConfig:
             encoder=EncoderConfig(
                 strides=(2, 4, 5, 4, 2),
                 conv_channels=(8, 16, 32, 32, 64),
-                hidden=64,
                 layers=2,
                 heads=4,
                 moe=MoEConfig(n_shared=1, n_routed=3, k_routed=1, expert_dim=128),
             ),
-            quantizer=QuantizerConfig(codebook_size=512, hidden=64, speech_end=128, music_end=256),
-            decoder=DecoderConfig(
-                strides=(2, 4, 5, 4, 2), channels=(32, 32, 16, 8, 8), hidden=64, out_kernel=7
-            ),
+            quantizer=QuantizerConfig(codebook_size=512, speech_end=128, music_end=256),
+            decoder=DecoderConfig(channels=(32, 32, 16, 8, 8)),
         )
 
     def param_shapes(self) -> dict:
         """Name -> shape of every parameter, in init order."""
         return {
             **encoder_param_shapes(self.encoder),
-            **quantizer_param_shapes(self.quantizer),
-            **decoder_param_shapes(self.decoder),
+            **quantizer_param_shapes(self.quantizer, self.encoder.hidden),
+            **decoder_param_shapes(self.decoder, self.encoder.hidden, self.encoder.strides),
         }
 
     def to_dict(self) -> dict:
@@ -99,27 +101,25 @@ class CodecConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodecConfig":
-        """Inverse of ``to_dict``. Keys of since-removed options, which older
-        checkpoints still carry, are dropped; an older config's
-        ``sample_rate`` must be the codec rate."""
+        """Inverse of ``to_dict``. Older checkpoints' keys of removed options
+        are dropped, and so are their keys of values now set once
+        (``_DUPLICATE_KEYS``), each of which must equal the value that owns it;
+        an older config's ``sample_rate`` must be the codec rate."""
         d = dict(d)
         rate = d.pop("sample_rate", SAMPLE_RATE)
         if rate != SAMPLE_RATE:
             raise ValueError(f"sample_rate {rate} is not the codec rate {SAMPLE_RATE}")
-        enc = {k: v for k, v in d.pop("encoder").items() if k not in _REMOVED_KEYS}
-        moe = MoEConfig(**enc.pop("moe"))
-        return cls(
-            encoder=EncoderConfig(
-                **{k: tuple(v) if isinstance(v, list) else v for k, v in enc.items()}, moe=moe
-            ),
-            quantizer=QuantizerConfig(
-                **{k: v for k, v in d.pop("quantizer").items() if k not in _REMOVED_KEYS}
-            ),
-            decoder=DecoderConfig(
-                **{k: tuple(v) if isinstance(v, list) else v for k, v in dict(d.pop("decoder")).items()}
-            ),
-            **d,
-        )
+        sections = {
+            name: {k: tuple(v) if isinstance(v, list) else v for k, v in d.pop(name).items() if k not in _REMOVED_KEYS}
+            for name in ("encoder", "quantizer", "decoder")
+        }
+        old = {(name, key): sections[name].pop(key) for name, key in _DUPLICATE_KEYS if key in sections[name]}
+        encoder = EncoderConfig(**{**sections["encoder"], "moe": MoEConfig(**sections["encoder"]["moe"])})
+        owner = {"hidden": encoder.hidden, "strides": encoder.strides, "out_kernel": OUT_KERNEL}
+        for (name, key), value in old.items():
+            if value != owner[key]:
+                raise ValueError(f"{name}.{key} {value} disagrees with the model's {key} {owner[key]}")
+        return cls(encoder, QuantizerConfig(**sections["quantizer"]), DecoderConfig(**sections["decoder"]), **d)
 
 
 _FROZEN = ("vq.base",)
@@ -167,12 +167,12 @@ class Codec:
         self.config = config
         self.dtype = np.dtype(dtype)
         if params is None:
-            rng = np.random.default_rng(seed)
-            raw = {}
-            raw.update(init_encoder_params(config.encoder, rng, dtype))
-            raw.update(init_quantizer_params(config.quantizer, rng, dtype))
-            raw.update(init_decoder_params(config.decoder, rng, dtype))
-            params = raw
+            enc, rng = config.encoder, np.random.default_rng(seed)
+            params = {  # drawn in this order
+                **init_encoder_params(enc, rng, dtype),
+                **init_quantizer_params(config.quantizer, enc.hidden, rng, dtype),
+                **init_decoder_params(config.decoder, enc.hidden, enc.strides, rng, dtype),
+            }
         self.params = {
             name: arr if isinstance(arr, Tensor) else Tensor(arr, requires_grad=name not in _FROZEN)
             for name, arr in params.items()
@@ -218,7 +218,7 @@ class Codec:
         )
 
     def decode_frames(self, quantized: Tensor) -> Tensor:
-        return decode(quantized, self.params, self.config.decoder)
+        return decode(quantized, self.params, self.config.encoder.strides)
 
     def forward(self, samples, domain: Optional[Domain] = None, mask=None, decode=False) -> ForwardPass:
         """Waveform at the codec rate -> ``ForwardPass``. Samples past the

@@ -51,7 +51,6 @@ COMMIT_BETA = 0.25
 @dataclass(frozen=True)
 class QuantizerConfig:
     codebook_size: int = 16384
-    hidden: int = 512
     speech_end: int = 4096
     music_end: int = 8192
 
@@ -94,12 +93,12 @@ class TokenStream:
         return len(self.ids)
 
 
-def quantizer_param_shapes(cfg: QuantizerConfig) -> dict:
+def quantizer_param_shapes(cfg: QuantizerConfig, hidden: int) -> dict:
     """Name -> shape of every 'vq.*' parameter, in init order."""
-    return {"vq.base": (cfg.codebook_size, cfg.hidden), "vq.proj": (cfg.hidden, cfg.hidden)}
+    return {"vq.base": (cfg.codebook_size, hidden), "vq.proj": (hidden, hidden)}
 
 
-def init_quantizer_params(cfg: QuantizerConfig, rng: np.random.Generator, dtype=np.float64) -> dict:
+def init_quantizer_params(cfg: QuantizerConfig, hidden: int, rng: np.random.Generator, dtype=np.float64) -> dict:
     """Base embeddings are Gaussian with a shared mean of norm ``BASE_MEAN``
     (along a direction drawn once per init) plus i.i.d. noise of std
     ``BASE_STD``; they stay frozen. The projection starts at identity so
@@ -111,8 +110,8 @@ def init_quantizer_params(cfg: QuantizerConfig, rng: np.random.Generator, dtype=
     use by itself: the toy acoustic run ends on about five codewords per
     clip with it and about four with a zero mean. How many entries a
     clip uses follows how spread the encoder keeps its frames."""
-    shapes = quantizer_param_shapes(cfg)
-    direction = rng.normal(0.0, 1.0, cfg.hidden)
+    shapes = quantizer_param_shapes(cfg, hidden)
+    direction = rng.normal(0.0, 1.0, hidden)
     direction /= np.linalg.norm(direction)
     base = BASE_MEAN * direction + rng.normal(0.0, BASE_STD, shapes["vq.base"])
     return {

@@ -31,6 +31,7 @@ from .signal import SAMPLE_RATE, AudioClip, Domain, spectral_flatness
 __all__ = [
     "Stage",
     "StageConfig",
+    "ConfigError",
     "TrainingError",
     "StageOrderError",
     "DivergenceError",
@@ -44,6 +45,10 @@ __all__ = [
 
 # training reads at most the first MAX_CLIP_SECONDS of each clip
 MAX_CLIP_SECONDS = 10.0
+
+
+class ConfigError(Exception):
+    """Raised on a training or model configuration that cannot run."""
 
 
 class TrainingError(Exception):
@@ -305,7 +310,7 @@ def _warm_start_projection(codec: Codec, clips: Sequence[AudioClip], cfg: StageC
     the frames occupy, a handful of entries win every frame, and gradient
     descent never recruits the rest (selection is not differentiable).
     Deterministic given the stage seed."""
-    qcfg = codec.config.quantizer
+    qcfg, hidden = codec.config.quantizer, codec.config.encoder.hidden
     rng = np.random.default_rng((cfg.seed, 0x779A))
     by_domain: dict = {}
     for clip in clips:
@@ -316,7 +321,7 @@ def _warm_start_projection(codec: Codec, clips: Sequence[AudioClip], cfg: StageC
     for domain, flist in by_domain.items():
         frames = np.concatenate(flist, axis=0)
         lo, hi = qcfg.region(domain)
-        k = min(hi - lo, max(qcfg.hidden, 4 * qcfg.hidden * (hi - lo) // qcfg.codebook_size))
+        k = min(hi - lo, max(hidden, 4 * hidden * (hi - lo) // qcfg.codebook_size))
         sel = rng.choice(np.arange(lo, hi), size=k, replace=False)
         fsel = rng.choice(len(frames), size=k, replace=len(frames) < k)
         rows.append(base[sel])
@@ -343,10 +348,11 @@ def train_stage(
 ) -> TrainResult:
     """Run one training stage to completion and return checkpoint paths.
 
-    Fresh runs require ``model_config`` (acoustic stage only); semantic and
-    finetune stages must resume from a checkpoint whose lineage includes a
-    completed acoustic stage. If ``init_from`` is a checkpoint of this same
-    stage interrupted mid-run, training resumes bit-exactly.
+    Fresh runs require ``model_config`` (acoustic stage only), and one given
+    with ``init_from`` must be the checkpoint's; semantic and finetune stages
+    must resume from a checkpoint whose lineage includes a completed
+    acoustic stage. If ``init_from`` is a checkpoint of this same stage
+    interrupted mid-run, training resumes bit-exactly.
     """
     if not clips:
         raise TrainingError("empty training set")
@@ -371,6 +377,8 @@ def train_stage(
     if init_from is not None:
         arrays = ckpt.load_tensors(init_from)
         codec = Codec._from_arrays(arrays, init_from, np.float64)
+        if model_config is not None and model_config != codec.config:
+            raise ConfigError(f"the model config differs from the one {init_from} was trained with")
         stage_done = int(arrays.get("meta/stage_done", np.asarray(0)))
         if cfg.stage is not Stage.ACOUSTIC and stage_done < Stage.ACOUSTIC.value:
             raise StageOrderError(

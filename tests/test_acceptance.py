@@ -119,7 +119,7 @@ def test_a2_quantize_matches_exhaustive_oracle():
         dim = int(rng.integers(2, 65))
         s_end = int(rng.integers(1, size - 1))
         m_end = int(rng.integers(s_end + 1, size))
-        cfg = QuantizerConfig(codebook_size=size, hidden=dim, speech_end=s_end, music_end=m_end)
+        cfg = QuantizerConfig(codebook_size=size, speech_end=s_end, music_end=m_end)
         base = rng.standard_normal((size, dim))
         proj = rng.standard_normal((dim, dim)) if trial % 3 else np.eye(dim)
         eff = base @ proj.T
@@ -284,7 +284,7 @@ def test_a5_gradient_integrity():
 
     # (a) one full transformer block with MoE feed-forward
     enc_cfg = EncoderConfig(
-        strides=(2, 2), conv_channels=(4, 8), hidden=8, layers=1, heads=2,
+        strides=(2, 2), conv_channels=(4, 8), layers=1, heads=2,
         moe=MoEConfig(n_shared=1, n_routed=2, k_routed=1, expert_dim=8),
     )
     from tricodec.encoder import init_encoder_params
@@ -306,10 +306,9 @@ def test_a5_gradient_integrity():
         reports[f"block/{key}"] = grad_check(block_of_param, Tensor(enc_params[key].data), h=1e-4, tol=1e-4)
 
     # (b) straight-through quantizer into decoder + mel reconstruction term
-    qcfg = QuantizerConfig(codebook_size=16, hidden=8, speech_end=4, music_end=8)
-    dec_cfg = DecoderConfig(strides=(2, 2), channels=(4, 4), hidden=8, out_kernel=3)
-    vq_params = _tensorize(init_quantizer_params(qcfg, rng), frozen=("vq.base",))
-    dec_params = _tensorize(init_decoder_params(dec_cfg, rng))
+    qcfg = QuantizerConfig(codebook_size=16, speech_end=4, music_end=8)
+    vq_params = _tensorize(init_quantizer_params(qcfg, 8, rng), frozen=("vq.base",))
+    dec_params = _tensorize(init_decoder_params(DecoderConfig(channels=(4, 4)), 8, (2, 2), rng))
     frames0 = rng.standard_normal((300, 8))
     target = Tensor(0.1 * rng.standard_normal(300 * 4))
 
@@ -320,7 +319,7 @@ def test_a5_gradient_integrity():
     q0 = q_fwd.data.copy()
 
     def tail_of_q(qt):
-        return mel_of(decode(qt, dec_params, dec_cfg))
+        return mel_of(decode(qt, dec_params, (2, 2)))
 
     reports["ste/quantized"] = grad_check(tail_of_q, Tensor(q0), h=1e-4, tol=1e-4)
 
@@ -328,14 +327,14 @@ def test_a5_gradient_integrity():
         trial = dict(vq_params)
         trial["vq.proj"] = pt
         _, qv = quantize(Tensor(frames0), trial, qcfg)
-        return mel_of(decode(qv, dec_params, dec_cfg))
+        return mel_of(decode(qv, dec_params, (2, 2)))
 
     reports["ste/proj"] = grad_check(tail_of_proj, Tensor(vq_params["vq.proj"].data), h=1e-4, tol=1e-4)
 
     # straight-through passthrough: frames receive exactly the quantized grad
     frames_t = Tensor(frames0, requires_grad=True)
     _, q_full = quantize(frames_t, vq_params, qcfg)
-    backward(mel_of(decode(q_full, dec_params, dec_cfg)))
+    backward(mel_of(decode(q_full, dec_params, (2, 2))))
     q_in = Tensor(q0, requires_grad=True)
     backward(tail_of_q(q_in))
     ste_exact = np.array_equal(frames_t.grad, q_in.grad)

@@ -288,6 +288,27 @@ def test_train_semantic_from_checkpoint(workdir):
     assert (workdir / "run_sem2" / "ckpt_final.tckp").exists()
 
 
+def test_train_model_other_than_the_checkpoints_fails(workdir, capsys):
+    # a toy checkpoint cannot start a run that the config says is full
+    cfg = {
+        "stage": "semantic",
+        "manifest": str(workdir / "data" / "manifest.tsv"),
+        "out_dir": str(workdir / "run_sem_full"),
+        "init_checkpoint": str(workdir / "run_a" / "ckpt_final.tckp"),
+        "model": "full",
+        "steps": 1,
+        "batch_size": 1,
+        "contrastive": {"n_distractors": 4},
+    }
+    p = workdir / "semantic_full.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: category=config:")
+    assert "model" in err
+    assert not (workdir / "run_sem_full" / "ckpt_final.tckp").exists()
+
+
 def test_train_unknown_key_exit_code(workdir, capsys):
     p = workdir / "bad.json"
     p.write_text(json.dumps(base_cfg(warmup_steps=10)))
@@ -359,13 +380,18 @@ def test_decode_garbage_tokens_categorized(workdir, capsys):
     assert capsys.readouterr().err.startswith("error: category=token-format:")
 
 
-@pytest.mark.parametrize("book, rate", [(16384, 75), (512, 50)])
-def test_decode_tokens_from_another_codec_categorized(workdir, capsys, book, rate):
-    # the toy checkpoint decodes a 512-entry book at 75 tokens/s
-    tokens = workdir / f"foreign_{book}_{rate}.uctk"
-    save_tokens(tokens, TokenStream(np.array([3, 600 % book]), frame_rate=rate, codebook_size=book))
+@pytest.mark.parametrize(
+    "book, rate, source_rate",
+    [(16384, 75, 24000), (512, 50, 24000), (512, 75, 16000)],
+    ids=["16384-75", "512-50", "512-75-16000Hz"],
+)
+def test_decode_tokens_from_another_codec_categorized(workdir, capsys, book, rate, source_rate):
+    # the toy checkpoint decodes a 512-entry book at 75 tokens/s of 24 kHz audio
+    tokens = workdir / f"foreign_{book}_{rate}_{source_rate}.uctk"
+    stream = TokenStream(np.array([3, 600 % book]), frame_rate=rate, source_sample_rate=source_rate, codebook_size=book)
+    save_tokens(tokens, stream)
     ckpt = str(workdir / "run_a" / "ckpt_final.tckp")
-    out_wav = workdir / f"foreign_{book}_{rate}.wav"
+    out_wav = workdir / f"foreign_{book}_{rate}_{source_rate}.wav"
     assert main(["decode", "--ckpt", ckpt, "--out", str(out_wav), str(tokens)]) == 3
     assert capsys.readouterr().err.startswith("error: category=token-format:")
     assert not out_wav.exists()

@@ -6,57 +6,52 @@ import pytest
 from tricodec.autodiff import ShapeError, Tensor, grad_check, mul, tmean
 from tricodec.decoder import DecoderConfig, decode, init_decoder_params
 
-CFG = DecoderConfig(strides=(2, 4, 5, 4, 2), channels=(16, 16, 8, 8, 4), hidden=16, out_kernel=7)
+CFG = DecoderConfig(channels=(16, 16, 8, 8, 4))
+STRIDES = (2, 4, 5, 4, 2)
 
 
-def make_params(seed=0, cfg=CFG, dtype=np.float64):
-    raw = init_decoder_params(cfg, np.random.default_rng(seed), dtype=dtype)
+def make_params(seed=0, cfg=CFG, hidden=16, strides=STRIDES, dtype=np.float64):
+    raw = init_decoder_params(cfg, hidden, strides, np.random.default_rng(seed), dtype=dtype)
     return {k: Tensor(v, requires_grad=True, name=k) for k, v in raw.items()}
 
 
 def test_length_law_exact():
     params = make_params()
     for t in (1, 2, 3, 7, 75):
-        out = decode(Tensor(np.random.default_rng(t).standard_normal((t, 16))), params, CFG)
+        out = decode(Tensor(np.random.default_rng(t).standard_normal((t, 16))), params, STRIDES)
         assert out.shape == (320 * t,)
 
 
 def test_output_range_open_interval():
     rng = np.random.default_rng(1)
     params = make_params()
-    out = decode(Tensor(rng.standard_normal((4, 16)) * 10), params, CFG).data
+    out = decode(Tensor(rng.standard_normal((4, 16)) * 10), params, STRIDES).data
     assert np.all(out > -1.0) and np.all(out < 1.0)
 
 
 def test_upsample_product():
-    assert CFG.upsample == 320
-    assert DecoderConfig().upsample == 320
+    # the output is as long as the product of the strides it is given
+    params = make_params(cfg=DecoderConfig(channels=(4, 4)), hidden=8, strides=(5, 3))
+    out = decode(Tensor(np.random.default_rng(5).standard_normal((4, 8))), params, (5, 3))
+    assert out.shape == (15 * 4,)
 
 
 def test_rejects_bad_shapes():
     params = make_params()
     with pytest.raises(ShapeError):
-        decode(Tensor(np.zeros((3,))), params, CFG)
+        decode(Tensor(np.zeros((3,))), params, STRIDES)
     with pytest.raises(ShapeError):
-        decode(Tensor(np.zeros((3, 8))), params, CFG)  # hidden mismatch
+        decode(Tensor(np.zeros((3, 8))), params, STRIDES)  # hidden mismatch
     with pytest.raises(ValueError):
-        decode(Tensor(np.zeros((0, 16))), params, CFG)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        DecoderConfig(strides=(2, 4), channels=(8,), hidden=16)
-    with pytest.raises(ValueError):
-        DecoderConfig(out_kernel=8)
+        decode(Tensor(np.zeros((0, 16))), params, STRIDES)
 
 
 def test_decode_grad_check():
     rng = np.random.default_rng(2)
-    small = DecoderConfig(strides=(2, 2), channels=(4, 4), hidden=8, out_kernel=3)
-    params = make_params(cfg=small)
+    params = make_params(cfg=DecoderConfig(channels=(4, 4)), hidden=8, strides=(2, 2))
 
     def f(q):
-        out = decode(q, params, small)
+        out = decode(q, params, (2, 2))
         return tmean(mul(out, out))
 
     rep = grad_check(f, Tensor(rng.standard_normal((3, 8))))
@@ -68,7 +63,7 @@ def test_decode_weight_grads_flow():
 
     rng = np.random.default_rng(3)
     params = make_params()
-    out = decode(Tensor(rng.standard_normal((2, 16))), params, CFG)
+    out = decode(Tensor(rng.standard_normal((2, 16))), params, STRIDES)
     backward(tmean(mul(out, out)))
     for name, p in params.items():
         assert p.grad is not None, name
@@ -78,6 +73,6 @@ def test_decode_deterministic():
     rng = np.random.default_rng(4)
     params = make_params()
     q = rng.standard_normal((5, 16))
-    a = decode(Tensor(q), params, CFG).data
-    b = decode(Tensor(q.copy()), params, CFG).data
+    a = decode(Tensor(q), params, STRIDES).data
+    b = decode(Tensor(q.copy()), params, STRIDES).data
     assert np.array_equal(a, b)

@@ -24,7 +24,6 @@ from tricodec.training import AdamW
 CFG = EncoderConfig(
     strides=(2, 4, 5, 4, 2),
     conv_channels=(4, 8, 8, 16, 16),
-    hidden=16,
     layers=1,
     heads=2,
     moe=MoEConfig(n_shared=1, n_routed=3, k_routed=1, expert_dim=16),
@@ -84,7 +83,7 @@ def test_moe_oracle_across_expert_counts():
     rng = np.random.default_rng(2)
     for n_r, k_r, n_s in [(2, 1, 0), (4, 2, 1), (6, 3, 2), (3, 3, 1)]:
         cfg = EncoderConfig(
-            strides=(2,), conv_channels=(8,), hidden=8, layers=1, heads=2,
+            strides=(2,), conv_channels=(8,), layers=1, heads=2,
             moe=MoEConfig(n_shared=n_s, n_routed=n_r, k_routed=k_r, expert_dim=8),
         )
         params = make_params(cfg, seed=n_r * 10 + k_r)
@@ -179,7 +178,7 @@ def moe_grads(mix_fn, cfg, u, readout, cents=None):
 
 def moe_cfg(n_shared, k):
     return EncoderConfig(
-        strides=(2,), conv_channels=(8,), hidden=8, layers=1, heads=2,
+        strides=(2,), conv_channels=(8,), layers=1, heads=2,
         moe=MoEConfig(n_shared=n_shared, n_routed=3, k_routed=k, expert_dim=8),
     )
 
@@ -226,7 +225,7 @@ def test_unselected_routed_expert_gets_no_grad_and_adamw_treats_it_as_zero():
 
 def test_routed_experts_run_only_on_selected_rows(monkeypatch):
     cfg = EncoderConfig(
-        strides=(2,), conv_channels=(8,), hidden=8, layers=2, heads=2,
+        strides=(2,), conv_channels=(8,), layers=2, heads=2,
         moe=MoEConfig(n_shared=2, n_routed=4, k_routed=2, expert_dim=8),
     )
     rows = {}
@@ -392,11 +391,9 @@ def test_mask_grad_reaches_embedding():
 
 def test_encoder_config_validation():
     with pytest.raises(ValueError):
-        EncoderConfig(conv_channels=(4, 8), strides=(2, 4, 5), hidden=8)
+        EncoderConfig(conv_channels=(4, 8), strides=(2, 4, 5))
     with pytest.raises(ValueError):
-        EncoderConfig(conv_channels=(4, 9), strides=(2, 4), hidden=8)
-    with pytest.raises(ValueError):
-        EncoderConfig(conv_channels=(4, 8), strides=(2, 4), hidden=8, heads=3)
+        EncoderConfig(conv_channels=(4, 8), strides=(2, 4), heads=3)
 
 
 def test_encoder_downsample_product():

@@ -23,13 +23,12 @@ def micro_config():
         encoder=EncoderConfig(
             strides=(2, 2),
             conv_channels=(4, 8),
-            hidden=8,
             layers=1,
             heads=2,
             moe=MoEConfig(n_shared=1, n_routed=2, k_routed=1, expert_dim=8),
         ),
-        quantizer=QuantizerConfig(codebook_size=16, hidden=8, speech_end=4, music_end=8),
-        decoder=DecoderConfig(strides=(2, 2), channels=(4, 4), hidden=8, out_kernel=3),
+        quantizer=QuantizerConfig(codebook_size=16, speech_end=4, music_end=8),
+        decoder=DecoderConfig(channels=(4, 4)),
     )
 
 
@@ -43,34 +42,17 @@ def tone(n=24000, hz=440.0):
 
 
 def test_config_rejects_stride_mismatch():
+    # the decoder runs the encoder's strides, one stage width per stride
     cfg = micro_config()
-    with pytest.raises(ValueError):
-        CodecConfig(
-            encoder=cfg.encoder,
-            quantizer=cfg.quantizer,
-            decoder=DecoderConfig(strides=(2, 4), channels=(4, 4), hidden=8, out_kernel=3),
-        )
-
-
-def test_config_rejects_hidden_mismatch():
-    cfg = micro_config()
-    with pytest.raises(ValueError):
-        CodecConfig(
-            encoder=cfg.encoder,
-            quantizer=QuantizerConfig(codebook_size=16, hidden=4, speech_end=4, music_end=8),
-            decoder=cfg.decoder,
-        )
+    with pytest.raises(ValueError, match="one per stride"):
+        replace(cfg, decoder=DecoderConfig(channels=(4, 4, 4)))
 
 
 def test_config_rejects_indivisible_rate():
     # a stride product of 14 does not divide the 24 kHz codec rate
     cfg = micro_config()
     with pytest.raises(ValueError, match="not divisible"):
-        CodecConfig(
-            encoder=replace(cfg.encoder, strides=(7, 2)),
-            quantizer=cfg.quantizer,
-            decoder=replace(cfg.decoder, strides=(7, 2)),
-        )
+        replace(cfg, encoder=replace(cfg.encoder, strides=(7, 2)))
 
 
 def test_toy_preset_rates():
@@ -89,6 +71,37 @@ def test_full_preset_rates():
     assert cfg.tokens_per_second == 75
     assert cfg.quantizer.codebook_size == 16384
     assert cfg.quantizer.region(Domain.SOUND) == (8192, 16384)
+
+
+def preset_names(layers, experts):
+    """The parameter names of a preset with five conv stages, ``layers``
+    transformer blocks and ``experts`` FFN experts per block, in init order."""
+    names = [f"enc.conv{i}.{p}" for i in range(5) for p in "wb"]
+    for i in range(layers):
+        blk = f"enc.blk{i}"
+        names += [f"{blk}.ln1.g", f"{blk}.ln1.b"]
+        names += [f"{blk}.attn.{w}" for w in ("wq", "wk", "wv", "wo")]
+        names += [f"{blk}.ln2.g", f"{blk}.ln2.b"]
+        names += [f"{blk}.{ex}.{p}" for ex in experts for p in ("w1", "b1", "w2", "b2")]
+        names.append(f"{blk}.centroids")
+    names += ["enc.final_ln.g", "enc.final_ln.b", "enc.mask_embed", "vq.base", "vq.proj"]
+    names += [f"dec.tconv{i}.{p}" for i in range(5) for p in "wb"]
+    return names + ["dec.out.w", "dec.out.b"]
+
+
+@pytest.mark.parametrize(
+    "preset, layers, tensors, total, trainable",
+    [("toy", 2, 77, 248_977, 216_209), ("full", 8, 227, 52_446_401, 44_057_793)],
+)
+def test_preset_architecture_is_pinned(preset, layers, tensors, total, trainable):
+    # what a checkpoint of either preset holds; vq.base is the one frozen tensor
+    shapes = getattr(CodecConfig, preset)().param_shapes()
+    experts = ("shared0", "routed0", "routed1", "routed2")
+    assert list(shapes) == preset_names(layers, experts)
+    assert len(shapes) == tensors
+    sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
+    assert sum(sizes.values()) == total
+    assert total - sizes["vq.base"] == trainable
 
 
 def test_config_dict_round_trip():
@@ -339,21 +352,33 @@ def test_decode_depends_only_on_ids():
     assert np.array_equal(w1.samples, w2.samples)
 
 
-def save_with_old_config_keys(codec, path, sample_rate):
-    """Save ``codec`` with the keys of removed options in its embedded config."""
+def old_config(config, sample_rate=24000, **decoder_keys):
+    """``config`` as an older checkpoint embeds it: with the keys of removed
+    options, and with the copies of the latent width, the strides and the
+    output kernel that the quantizer and decoder sections used to hold
+    (``decoder_keys`` overrides the decoder's copies)."""
+    cfg = json.loads(json.dumps(config.to_dict()))
+    hidden = cfg["encoder"]["conv_channels"][-1]
+    cfg["encoder"].update(mlp_dim=256, hidden=hidden)
+    cfg["quantizer"].update(base_mean=4.0, base_std=1.0, hidden=hidden)
+    cfg["decoder"].update({"hidden": hidden, "strides": cfg["encoder"]["strides"], "out_kernel": 7, **decoder_keys})
+    cfg["sample_rate"] = sample_rate
+    return cfg
+
+
+def save_with_old_config_keys(codec, path, sample_rate, **decoder_keys):
+    """Save ``codec`` with ``old_config`` as its embedded config."""
     codec.save(path)
     arrays = ckpt.load_tensors(path)
-    cfg = json.loads(arrays["meta/config_json"].tobytes())
-    cfg["encoder"]["mlp_dim"] = 256
-    cfg["quantizer"].update(base_mean=4.0, base_std=1.0)
-    cfg["sample_rate"] = sample_rate
+    cfg = old_config(codec.config, sample_rate, **decoder_keys)
     arrays["meta/config_json"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
     ckpt.save_tensors(path, arrays)
 
 
 def test_checkpoint_with_removed_config_keys_loads(tmp_path):
     # checkpoints written before mlp_dim, base_mean, base_std and sample_rate
-    # were removed still carry those keys in their embedded config
+    # were removed, or before the width and strides had one owner each,
+    # still carry those keys in their embedded config
     codec = Codec(CodecConfig.toy(), seed=5)
     path = tmp_path / "old.tckp"
     save_with_old_config_keys(codec, path, sample_rate=24000)
@@ -361,8 +386,22 @@ def test_checkpoint_with_removed_config_keys_loads(tmp_path):
     loaded = load_float64(path)  # the codec's own dtype, so ids compare exactly
     assert loaded.config == codec.config
     assert "sample_rate" not in codec.config.to_dict()
+    assert "hidden" not in codec.config.to_dict()["decoder"]
     clip = tone(4800, hz=330.0)
     assert np.array_equal(loaded.encode(clip).ids, codec.encode(clip).ids)
+
+
+@pytest.mark.parametrize("preset", ["toy", "full"])
+def test_old_config_keys_give_the_preset(preset):
+    cfg = getattr(CodecConfig, preset)()
+    assert CodecConfig.from_dict(old_config(cfg)) == cfg
+
+
+def test_checkpoint_with_disagreeing_duplicate_key_is_rejected(tmp_path):
+    path = tmp_path / "old.tckp"
+    save_with_old_config_keys(Codec(CodecConfig.toy(), seed=5), path, 24000, strides=[4, 2, 5, 4, 2])
+    with pytest.raises(CheckpointError, match=r"decoder\.strides \(4, 2, 5, 4, 2\) disagrees"):
+        Codec.load(path)
 
 
 def test_checkpoint_at_another_rate_is_rejected(tmp_path):

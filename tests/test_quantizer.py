@@ -25,11 +25,12 @@ from tricodec.quantizer import (
 )
 from tricodec.signal import Domain
 
-CFG = QuantizerConfig(codebook_size=64, hidden=8, speech_end=16, music_end=32)
+CFG = QuantizerConfig(codebook_size=64, speech_end=16, music_end=32)
+HIDDEN = 8
 
 
 def make_params(seed=0, cfg=CFG, dtype=np.float64):
-    raw = init_quantizer_params(cfg, np.random.default_rng(seed), dtype=dtype)
+    raw = init_quantizer_params(cfg, HIDDEN, np.random.default_rng(seed), dtype=dtype)
     return {
         "vq.base": Tensor(raw["vq.base"], name="vq.base"),
         "vq.proj": Tensor(raw["vq.proj"], requires_grad=True, name="vq.proj"),
@@ -103,7 +104,7 @@ def test_quantize_duplicate_rows_in_distant_gemm_blocks_tie_break_to_lowest_id()
     # 13-frame batch: OpenBLAS puts the two rows in different GEMM blocks and
     # rounds their expanded distances differently, so ranking by the expanded
     # form alone can pick 451.
-    cfg = QuantizerConfig(codebook_size=453, hidden=50, speech_end=100, music_end=200)
+    cfg = QuantizerConfig(codebook_size=453, speech_end=100, music_end=200)
     for seed in range(20):
         rng = np.random.default_rng(seed)
         base = rng.standard_normal((453, 50))
@@ -175,16 +176,16 @@ def test_region_bounds():
 
 def test_config_region_validation():
     with pytest.raises(ValueError):
-        QuantizerConfig(codebook_size=64, hidden=8, speech_end=32, music_end=32)
+        QuantizerConfig(codebook_size=64, speech_end=32, music_end=32)
     with pytest.raises(ValueError):
-        QuantizerConfig(codebook_size=64, hidden=8, speech_end=0, music_end=32)
+        QuantizerConfig(codebook_size=64, speech_end=0, music_end=32)
     with pytest.raises(ValueError):
-        QuantizerConfig(codebook_size=64, hidden=8, speech_end=16, music_end=64)
+        QuantizerConfig(codebook_size=64, speech_end=16, music_end=64)
 
 
 def test_init_base_statistics_follow_config():
-    cfg = QuantizerConfig(codebook_size=4096, hidden=32, speech_end=1024, music_end=2048)
-    params = init_quantizer_params(cfg, np.random.default_rng(11))
+    cfg = QuantizerConfig(codebook_size=4096, speech_end=1024, music_end=2048)
+    params = init_quantizer_params(cfg, 32, np.random.default_rng(11))
     base = params["vq.base"]
     assert base.shape == (4096, 32)
     mean_vec = base.mean(axis=0)

@@ -36,13 +36,12 @@ def micro_config():
         encoder=EncoderConfig(
             strides=(2, 2),
             conv_channels=(4, 8),
-            hidden=8,
             layers=1,
             heads=2,
             moe=MoEConfig(n_shared=1, n_routed=2, k_routed=1, expert_dim=8),
         ),
-        quantizer=QuantizerConfig(codebook_size=16, hidden=8, speech_end=4, music_end=8),
-        decoder=DecoderConfig(strides=(2, 2), channels=(4, 4), hidden=8, out_kernel=3),
+        quantizer=QuantizerConfig(codebook_size=16, speech_end=4, music_end=8),
+        decoder=DecoderConfig(channels=(4, 4)),
     )
 
 
