@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -351,12 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if os.environ.get("TRICODEC_LOG", "").lower() in ("debug", "verbose"):
-        import traceback
-
-        tb = traceback.print_exc
-    else:
-        tb = lambda: None
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
@@ -364,10 +357,8 @@ def main(argv=None) -> int:
         for etype, category, code in _ERROR_CATEGORIES:
             if isinstance(e, etype):
                 print(f"error: category={category}: {e}", file=sys.stderr)
-                tb()
                 return code
         print(f"error: category=internal: {e}", file=sys.stderr)
-        tb()
         return 1
 
 

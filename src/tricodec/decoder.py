@@ -36,10 +36,8 @@ def decoder_param_shapes(cfg: DecoderConfig, hidden: int, strides: tuple) -> dic
     return s
 
 
-def init_decoder_params(
-    cfg: DecoderConfig, hidden: int, strides: tuple, rng: np.random.Generator, dtype=np.float64
-) -> dict:
-    """Fan-in scaled weights (C_in * K), zero biases."""
+def init_decoder_params(cfg: DecoderConfig, hidden: int, strides: tuple, rng: np.random.Generator) -> dict:
+    """Float64 fan-in scaled weights (C_in * K), zero biases."""
     p = {}
     for name, shape in decoder_param_shapes(cfg, hidden, strides).items():
         if name.endswith(".b"):
@@ -47,7 +45,7 @@ def init_decoder_params(
         else:
             c_in = shape[1] if name == "dec.out.w" else shape[0]
             p[name] = rng.normal(0.0, 1.0 / np.sqrt(c_in * shape[2]), shape)
-    return {k: v.astype(dtype) for k, v in p.items()}
+    return p
 
 
 def decode(quantized: Tensor, params: dict, strides: tuple) -> Tensor:

@@ -68,6 +68,8 @@ class EncoderConfig:
     moe: MoEConfig = field(default_factory=MoEConfig)
 
     def __post_init__(self):
+        if not self.strides:
+            raise ValueError("the encoder needs at least one stride")
         if len(self.strides) != len(self.conv_channels):
             raise ValueError(
                 f"strides and conv_channels lengths differ: {len(self.strides)} vs {len(self.conv_channels)}"
@@ -107,10 +109,10 @@ def encoder_param_shapes(cfg: EncoderConfig) -> dict:
     return s
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float64) -> dict:
-    """Deterministic parameter init, keyed 'enc.*'. Conv weights use fan-in
-    scaling with gain 2, since GELU's slope at 0 is 1/2; biases start at 0
-    and norm gains at 1; attention/expert weights, router centroids and
+def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict:
+    """Deterministic float64 parameter init, keyed 'enc.*'. Conv weights use
+    fan-in scaling with gain 2, since GELU's slope at 0 is 1/2; biases start
+    at 0 and norm gains at 1; attention/expert weights, router centroids and
     the mask embedding have std 0.02.
 
     The gain brings the conv features of peak-normalized audio near unit
@@ -130,7 +132,7 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.f
             p[name] = np.ones(shape)
         else:
             p[name] = rng.normal(0.0, 0.02, shape)
-    return {k: v.astype(dtype) for k, v in p.items()}
+    return p
 
 
 def conv_encode(samples, params: dict, cfg: EncoderConfig) -> Tensor:

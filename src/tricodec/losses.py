@@ -26,7 +26,7 @@ from .autodiff import (
     tabs,
     tmean,
 )
-from .signal import HOP, N_FFT, SAMPLE_RATE, AudioClip, mel_filterbank, mel_spectrogram, stft_magnitude
+from .signal import HOP, N_FFT, AudioClip, mel_filterbank, mel_spectrogram, stft_magnitude
 
 __all__ = [
     "MaskSpec",
@@ -125,21 +125,20 @@ def contrastive_loss(
 # differentiable reconstruction loss
 
 
-def _mel_tensor(x: Tensor, sample_rate: int) -> Tensor:
-    """Mel magnitude frames of a waveform Tensor, differentiable; shape
-    (frames, n_mels)."""
-    fb = mel_filterbank(sample_rate)
-    return matmul(stft_mag(x, N_FFT, HOP), Tensor(fb.T.astype(x.dtype.name)))
+def _mel_tensor(x: Tensor) -> Tensor:
+    """Mel magnitude frames of a waveform Tensor at the codec rate,
+    differentiable; shape (frames, n_mels)."""
+    return matmul(stft_mag(x, N_FFT, HOP), Tensor(mel_filterbank().T.astype(x.dtype.name)))
 
 
 def _as_wave_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
-def reconstruction_terms(x, xhat, sample_rate: int = SAMPLE_RATE) -> tuple:
-    """(time-domain L1, mel-domain L1) between two waveforms, truncated to
-    the shorter length. The mel term is zero for clips shorter than one
-    analysis frame."""
+def reconstruction_terms(x, xhat) -> tuple:
+    """(time-domain L1, mel-domain L1) between two waveforms at the codec
+    rate, truncated to the shorter length. The mel term is zero for clips
+    shorter than one analysis frame."""
     xt, yt = _as_wave_tensor(x), _as_wave_tensor(xhat)
     n = min(xt.shape[0], yt.shape[0])
     xt = xt[:n] if xt.shape[0] != n else xt
@@ -147,7 +146,7 @@ def reconstruction_terms(x, xhat, sample_rate: int = SAMPLE_RATE) -> tuple:
     time_l1 = tmean(tabs(sub(xt, yt)))
     if n < N_FFT:
         return time_l1, Tensor(np.zeros((), dtype=xt.dtype))
-    mel_l1 = tmean(tabs(sub(_mel_tensor(xt, sample_rate), _mel_tensor(yt, sample_rate))))
+    mel_l1 = tmean(tabs(sub(_mel_tensor(xt), _mel_tensor(yt))))
     return time_l1, mel_l1
 
 

@@ -163,20 +163,22 @@ class Codec:
     graph training differentiates; inference runs it under ``no_grad``.
     """
 
-    def __init__(self, config: CodecConfig, seed: int = 0, dtype=np.float64, params: Optional[dict] = None):
+    def __init__(self, config: CodecConfig, seed: int = 0, params: Optional[dict] = None):
+        """A fresh float64 codec drawn from ``seed``, or, given ``params``
+        (all of one dtype), the codec holding them, in their dtype."""
         self.config = config
-        self.dtype = np.dtype(dtype)
         if params is None:
             enc, rng = config.encoder, np.random.default_rng(seed)
             params = {  # drawn in this order
-                **init_encoder_params(enc, rng, dtype),
-                **init_quantizer_params(config.quantizer, enc.hidden, rng, dtype),
-                **init_decoder_params(config.decoder, enc.hidden, enc.strides, rng, dtype),
+                **init_encoder_params(enc, rng),
+                **init_quantizer_params(config.quantizer, enc.hidden, rng),
+                **init_decoder_params(config.decoder, enc.hidden, enc.strides, rng),
             }
         self.params = {
             name: arr if isinstance(arr, Tensor) else Tensor(arr, requires_grad=name not in _FROZEN)
             for name, arr in params.items()
         }
+        self.dtype = next(iter(self.params.values())).dtype
         self._book_cache = None  # (vq.base array, {name: copy of trainable vq.*}, effective_book)
 
     def trainable(self) -> dict:
@@ -305,4 +307,4 @@ class Codec:
                 raise ckpt.CheckpointError(
                     f"{path}: tensor 'param/{name}' has shape {params[name].shape}, config expects {shape}"
                 )
-        return cls(config, dtype=dtype, params=params)
+        return cls(config, params=params)

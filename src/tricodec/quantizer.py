@@ -98,11 +98,11 @@ def quantizer_param_shapes(cfg: QuantizerConfig, hidden: int) -> dict:
     return {"vq.base": (cfg.codebook_size, hidden), "vq.proj": (hidden, hidden)}
 
 
-def init_quantizer_params(cfg: QuantizerConfig, hidden: int, rng: np.random.Generator, dtype=np.float64) -> dict:
+def init_quantizer_params(cfg: QuantizerConfig, hidden: int, rng: np.random.Generator) -> dict:
     """Base embeddings are Gaussian with a shared mean of norm ``BASE_MEAN``
     (along a direction drawn once per init) plus i.i.d. noise of std
     ``BASE_STD``; they stay frozen. The projection starts at identity so
-    initial codewords equal the base rows.
+    initial codewords equal the base rows. Both are float64.
 
     Every selected codeword's projection gradient has a component along the
     shared mean, so projection @ mean acts as a global codeword offset that
@@ -114,10 +114,7 @@ def init_quantizer_params(cfg: QuantizerConfig, hidden: int, rng: np.random.Gene
     direction = rng.normal(0.0, 1.0, hidden)
     direction /= np.linalg.norm(direction)
     base = BASE_MEAN * direction + rng.normal(0.0, BASE_STD, shapes["vq.base"])
-    return {
-        "vq.base": base.astype(dtype),
-        "vq.proj": np.eye(*shapes["vq.proj"]).astype(dtype),
-    }
+    return {"vq.base": base, "vq.proj": np.eye(*shapes["vq.proj"])}
 
 
 def effective_codewords(params: dict) -> Tensor:
@@ -185,7 +182,6 @@ def quantize(
     cfg: QuantizerConfig,
     domain: Optional[Domain] = None,
     frame_rate: int = 75,
-    sample_rate: int = SAMPLE_RATE,
     book: Optional[tuple] = None,
 ) -> tuple:
     """Nearest-codeword assignment under squared Euclidean distance.
@@ -205,12 +201,7 @@ def quantize(
 
     ids = lo + _nearest(f, codewords[lo:hi], sq[lo:hi])
     quantized = passthrough(frames, simvq_embed(ids, params))
-    stream = TokenStream(
-        ids=ids,
-        frame_rate=frame_rate,
-        source_sample_rate=sample_rate,
-        codebook_size=cfg.codebook_size,
-    )
+    stream = TokenStream(ids=ids, frame_rate=frame_rate, codebook_size=cfg.codebook_size)
     return stream, quantized
 
 

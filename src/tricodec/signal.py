@@ -3,8 +3,8 @@ toy dataset.
 
 Everything here is a pure function of its inputs (the dataset generator takes
 an explicit seed), so concurrent use is safe. WAV support covers RIFF PCM16
-and IEEE float32, mono or multichannel on read (averaged to mono), mono on
-write.
+and IEEE float32, mono or multichannel, on read (averaged to mono), and mono
+PCM16 on write.
 """
 
 from __future__ import annotations
@@ -185,40 +185,22 @@ def load_wav(path) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=int(sample_rate))
 
 
-def save_wav(path, clip: AudioClip, encoding: str = "pcm16") -> None:
-    """Write a mono WAV. ``encoding`` is 'pcm16' or 'float32'.
+def save_wav(path, clip: AudioClip) -> None:
+    """Write a mono PCM16 WAV.
 
-    PCM16 rounds samples*32768 to the nearest integer (clipped), so a
+    Samples*32768 are rounded to the nearest integer (clipped), so a
     load/save round trip is exact to within one quantization step.
     """
     x = np.clip(clip.samples, -1.0, 1.0)
-    if encoding == "pcm16":
-        fmt_tag, bits = 1, 16
-        ints = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
-        payload = ints.tobytes()
-    elif encoding == "float32":
-        fmt_tag, bits = 3, 32
-        payload = x.astype("<f4").tobytes()
-    else:
-        raise ValueError(f"unknown encoding '{encoding}' (expected 'pcm16' or 'float32')")
-
-    block_align = bits // 8
+    payload = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
     header = b"".join(
         [
             b"RIFF",
             struct.pack("<I", 36 + len(payload)),
             b"WAVE",
             b"fmt ",
-            struct.pack(
-                "<IHHIIHH",
-                16,
-                fmt_tag,
-                1,
-                clip.sample_rate,
-                clip.sample_rate * block_align,
-                block_align,
-                bits,
-            ),
+            # chunk size, format tag 1 (PCM), 1 channel, rate, byte rate, block align, bits
+            struct.pack("<IHHIIHH", 16, 1, 1, clip.sample_rate, 2 * clip.sample_rate, 2, 16),
             b"data",
             struct.pack("<I", len(payload)),
         ]
@@ -313,29 +295,26 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@lru_cache(maxsize=16)
-def mel_filterbank(sample_rate: int) -> np.ndarray:
+@lru_cache(maxsize=1)
+def mel_filterbank() -> np.ndarray:
     """Triangular mel filterbank (HTK scale) from 0 Hz to MEL_FMAX for
-    N_FFT-point frames at ``sample_rate``, shape (N_MELS, N_FFT//2 + 1)."""
-    if MEL_FMAX > sample_rate / 2:
-        raise ValueError(f"mel fmax {MEL_FMAX} exceeds Nyquist {sample_rate / 2}")
+    N_FFT-point frames at SAMPLE_RATE, shape (N_MELS, N_FFT//2 + 1)."""
     pts = _mel_to_hz(np.linspace(0.0, _hz_to_mel(MEL_FMAX), N_MELS + 2))
-    bins = np.arange(N_FFT // 2 + 1) * (sample_rate / N_FFT)
+    bins = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE / N_FFT)
     lo, ctr, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
     rising = (bins - lo) / np.maximum(ctr - lo, 1e-12)
     falling = (hi - bins) / np.maximum(hi - ctr, 1e-12)
     fb = np.clip(np.minimum(rising, falling), 0.0, None)
-    rowsums = fb.sum(axis=1)
-    if np.any(rowsums <= 0):
-        bad = int(np.argmin(rowsums))
-        raise ValueError(f"mel filter {bad} covers no FFT bin at {sample_rate} Hz")
     fb.flags.writeable = False
     return fb
 
 
 def mel_spectrogram(clip: AudioClip) -> np.ndarray:
-    """Mel magnitude spectrogram: filterbank @ stft_magnitude, (N_MELS, frames)."""
-    return mel_filterbank(clip.sample_rate) @ stft_magnitude(clip)
+    """Mel magnitude spectrogram: filterbank @ stft_magnitude, (N_MELS, frames).
+    The clip must be at SAMPLE_RATE, the rate the filterbank is built for."""
+    if clip.sample_rate != SAMPLE_RATE:
+        raise ValueError(f"clip rate {clip.sample_rate} != codec rate {SAMPLE_RATE}; resample first")
+    return mel_filterbank() @ stft_magnitude(clip)
 
 
 def spectral_flatness(clip: AudioClip) -> float:

@@ -46,6 +46,11 @@ __all__ = [
 # training reads at most the first MAX_CLIP_SECONDS of each clip
 MAX_CLIP_SECONDS = 10.0
 
+# AdamW's moment decay rates, decoupled weight decay and denominator epsilon
+ADAM_BETAS = (0.9, 0.999)
+WEIGHT_DECAY = 0.01
+ADAM_EPS = 1e-8
+
 
 class ConfigError(Exception):
     """Raised on a training or model configuration that cannot run."""
@@ -97,8 +102,10 @@ class StageConfig:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0 (0 saves none), got {self.checkpoint_every}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 < self.lr < float("inf"):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not 0 <= self.lr_min <= self.lr:
             raise ValueError(f"lr_min must be in [0, lr={self.lr}], got {self.lr_min}")
         if not 0 <= self.lam_c < float("inf"):
@@ -133,24 +140,22 @@ def cosine_lr(step: int, total_steps: int, lr0: float, lr_min: float) -> float:
 
 
 class AdamW:
-    """AdamW with bias-corrected moments and decoupled weight decay.
+    """AdamW with bias-corrected moments and decoupled weight decay, at
+    ``ADAM_BETAS``, ``WEIGHT_DECAY`` and ``ADAM_EPS``.
 
     Parameters whose gradient is absent in a step are treated as having a
     zero gradient: their moments decay and weight decay still applies.
     """
 
-    def __init__(self, params: dict, betas=(0.9, 0.999), weight_decay: float = 0.01, eps: float = 1e-8):
+    def __init__(self, params: dict):
         self.params = {k: v for k, v in params.items() if v.requires_grad}
-        self.betas = betas
-        self.weight_decay = weight_decay
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v.data) for k, v in self.params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in self.params.items()}
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in self.params.items():
@@ -164,7 +169,7 @@ class AdamW:
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
             mhat = self.m[name] / bc1
             vhat = self.v[name] / bc2
-            new = p.data - lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p.data)
+            new = p.data - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + WEIGHT_DECAY * p.data)
             # keep the parameter dtype; a float64 lr must not promote float32 weights
             p.data = new.astype(p.data.dtype, copy=False)
 
@@ -482,7 +487,7 @@ def train_stage(
     )
 
 
-def curate_finetune(clips: Sequence[AudioClip], fraction: float = 0.5) -> list:
+def curate_finetune(clips: Sequence[AudioClip], fraction: float) -> list:
     """Fine-tune subset: the most harmonic (lowest spectral-flatness) speech
     clips, the toy-scale stand-in for a curated high-quality speech corpus."""
     speech = [c for c in clips if c.domain == Domain.SPEECH]

@@ -180,6 +180,8 @@ def test_train_removed_recipe_key_fails(tmp_path, capsys, key, value):
         ({"lr": -1.0}, "lr"),
         ({"lr": 0}, "lr"),
         ({"lr": float("nan")}, "lr"),
+        ({"lr": float("inf")}, "lr"),
+        ({"seed": -1}, "seed"),
         ({"lr_min": -1e-6}, "lr_min"),
         ({"lr": 1e-3, "lr_min": 2e-3}, "lr_min"),
         ({"lam_c": -1.0}, "lam_c"),
@@ -188,8 +190,9 @@ def test_train_removed_recipe_key_fails(tmp_path, capsys, key, value):
         ({"mask": {"p": 2.0}}, "mask proportion p"),
         ({"contrastive": {"n_distractors": 0}}, "n_distractors"),
     ],
-    ids=["log_every=0", "checkpoint_every=-5", "lr=-1", "lr=0", "lr=NaN", "lr_min=-1e-6", "lr_min>lr",
-         "lam_c=-1", "semantic-lam_c=NaN", "lam_c=inf", "mask.p=2", "contrastive.n_distractors=0"],
+    ids=["log_every=0", "checkpoint_every=-5", "lr=-1", "lr=0", "lr=NaN", "lr=inf", "seed=-1",
+         "lr_min=-1e-6", "lr_min>lr", "lam_c=-1", "semantic-lam_c=NaN", "lam_c=inf", "mask.p=2",
+         "contrastive.n_distractors=0"],
 )
 def test_train_bad_stage_value_is_config_error(tmp_path, capsys, overrides, named):
     # rejected while the config is read, before any clip is loaded
@@ -198,6 +201,14 @@ def test_train_bad_stage_value_is_config_error(tmp_path, capsys, overrides, name
     err = capsys.readouterr().err
     assert err.startswith("error: category=config:")
     assert named in err
+
+
+def test_train_negative_seed_flag_is_config_error(tmp_path, capsys):
+    p = write_cfg(tmp_path, base_cfg())
+    assert main(["train", "--config", str(p), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: category=config:")
+    assert "seed" in err
 
 
 @pytest.mark.parametrize("fraction", [-3.0, 0.0, 0, 7.0, 1.0001, float("nan")])
@@ -407,7 +418,7 @@ def test_bad_checkpoint_categorized(workdir, capsys):
 
 @pytest.mark.parametrize(
     "variant", ["not-utf8", "not-json", "no-encoder", "no-quantizer", "no-decoder",
-                "unknown-key", "no-conv0", "no-dec.out.b", "short-vq.proj"],
+                "unknown-key", "empty-strides", "no-conv0", "no-dec.out.b", "short-vq.proj"],
 )
 def test_decode_doctored_checkpoint_categorized(workdir, capsys, variant):
     arrays = load_tensors(workdir / "run_a" / "ckpt_final.tckp")
@@ -418,6 +429,9 @@ def test_decode_doctored_checkpoint_categorized(workdir, capsys, variant):
         raw = b"{not json"
     elif variant == "unknown-key":
         raw = json.dumps({**cfg, "mystery": 1}).encode()
+    elif variant == "empty-strides":
+        cfg["encoder"]["strides"] = cfg["encoder"]["conv_channels"] = []
+        raw = json.dumps(cfg).encode()
     elif variant in ("no-encoder", "no-quantizer", "no-decoder"):
         del cfg[variant[3:]]
         raw = json.dumps(cfg).encode()

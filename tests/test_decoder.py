@@ -10,8 +10,8 @@ CFG = DecoderConfig(channels=(16, 16, 8, 8, 4))
 STRIDES = (2, 4, 5, 4, 2)
 
 
-def make_params(seed=0, cfg=CFG, hidden=16, strides=STRIDES, dtype=np.float64):
-    raw = init_decoder_params(cfg, hidden, strides, np.random.default_rng(seed), dtype=dtype)
+def make_params(seed=0, cfg=CFG, hidden=16, strides=STRIDES):
+    raw = init_decoder_params(cfg, hidden, strides, np.random.default_rng(seed))
     return {k: Tensor(v, requires_grad=True, name=k) for k, v in raw.items()}
 
 

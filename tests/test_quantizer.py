@@ -29,8 +29,8 @@ CFG = QuantizerConfig(codebook_size=64, speech_end=16, music_end=32)
 HIDDEN = 8
 
 
-def make_params(seed=0, cfg=CFG, dtype=np.float64):
-    raw = init_quantizer_params(cfg, HIDDEN, np.random.default_rng(seed), dtype=dtype)
+def make_params(seed=0, cfg=CFG):
+    raw = init_quantizer_params(cfg, HIDDEN, np.random.default_rng(seed))
     return {
         "vq.base": Tensor(raw["vq.base"], name="vq.base"),
         "vq.proj": Tensor(raw["vq.proj"], requires_grad=True, name="vq.proj"),

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tricodec.losses import mel_distance
 from tricodec.signal import (
     _polyphase_filters,
     HOP,
@@ -91,17 +92,15 @@ def test_pcm16_round_trip_within_one_lsb(tmp_path):
 
 
 def test_float32_round_trip(tmp_path):
+    # float32 samples read back exactly; those outside [-1, 1] are clipped on read
     rng = np.random.default_rng(1)
-    x = np.clip(rng.standard_normal(500) * 0.4, -1, 1)
+    x = np.concatenate([rng.standard_normal(500) * 0.4, [1.5, -2.0]]).astype("<f4")
     p = tmp_path / "f32.wav"
-    save_wav(p, AudioClip(x, 16000), encoding="float32")
+    p.write_bytes(_mono_wav(3, 16000, 32, x.tobytes()))
     back = load_wav(p)
     assert back.sample_rate == 16000
-    assert np.allclose(back.samples, x, atol=1e-6)
-    # beyond-range samples are clipped on write
-    p2 = tmp_path / "clip.wav"
-    save_wav(p2, AudioClip(np.array([1.5, -2.0]), 8000), encoding="float32")
-    assert np.array_equal(load_wav(p2).samples, [1.0, -1.0])
+    assert np.array_equal(back.samples, np.clip(x.astype(np.float64), -1.0, 1.0))
+    assert np.array_equal(back.samples[-2:], [1.0, -1.0])
 
 
 def test_malformed_header_names_chunk(tmp_path):
@@ -316,7 +315,7 @@ def test_stft_parseval_hann_window():
 def test_mel_equals_filterbank_matmul():
     clip = sine(1234, 24000, 0.3)
     mel = mel_spectrogram(clip)
-    want = mel_filterbank(24000) @ stft_magnitude(clip, N_FFT, HOP)
+    want = mel_filterbank() @ stft_magnitude(clip, N_FFT, HOP)
     assert mel.shape == (N_MELS, want.shape[1]) == (80, want.shape[1])
     assert np.array_equal(mel, want)
 
@@ -328,7 +327,7 @@ def test_mel_linear_in_amplitude():
 
 
 def test_mel_filterbank_rows_positive():
-    fb = mel_filterbank(24000)
+    fb = mel_filterbank()
     assert fb.shape == (80, 513)
     assert np.all(fb.sum(axis=1) > 0)
     assert np.all(fb >= 0)
@@ -337,19 +336,19 @@ def test_mel_filterbank_rows_positive():
 def test_mel_filterbank_spans_zero_to_fmax():
     # the first filter rises from 0 Hz; the last falls to zero at MEL_FMAX,
     # which at 24 kHz is the top FFT bin
-    fb = mel_filterbank(24000)
+    fb = mel_filterbank()
     assert MEL_FMAX == 24000 / 2
     assert fb[0, 0] == 0 and fb[0, 1] > 0
     assert np.max(fb[:, -1]) < 1e-12 and fb[-1, -2] > 0
 
 
-def test_mel_filterbank_rate_checks():
-    # clip rates come from input files: below 2 * MEL_FMAX the band passes
-    # Nyquist, and far above it the lowest filter falls between FFT bins
-    with pytest.raises(ValueError, match="Nyquist"):
-        mel_filterbank(16000)
-    with pytest.raises(ValueError, match="covers no FFT bin"):
-        mel_filterbank(192000)
+def test_mel_spectrogram_rejects_other_rates():
+    # the filterbank is built for the codec rate; clip rates come from input files
+    clip = sine(1234, 16000, 0.3)
+    with pytest.raises(ValueError, match="codec rate"):
+        mel_spectrogram(clip)
+    with pytest.raises(ValueError, match="codec rate"):
+        mel_distance(clip, clip)
 
 
 def test_spectral_flatness_orders_noise_above_tone():
