@@ -85,14 +85,17 @@ def _read_header(f, fmt: str, path, i: int) -> tuple:
     return struct.unpack(fmt, raw)
 
 
-def load_tensors(path, dtype=None) -> dict:
+def load_tensors(path, dtype=None, prefixes=None) -> dict:
     """Read a container written by ``save_tensors``; returns ``{name: ndarray}``.
 
     Record headers are read from the open file and each payload is read
     straight into its preallocated array, so the peak is one copy of the
     tensors. With ``dtype``, every floating-point tensor is converted to it
     as soon as it is read, so the stored-dtype copy of at most one tensor
-    exists at a time; other tensors keep their stored dtype."""
+    exists at a time; other tensors keep their stored dtype. With
+    ``prefixes`` (a tuple of strings), only the records whose names start
+    with one of them are read; the payloads of the others are seeked past,
+    though still checked to lie within the file."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(12)
@@ -121,6 +124,9 @@ def load_tensors(path, dtype=None) -> dict:
             # checked before allocating, so corrupt dims cannot demand a huge array
             if f.tell() + nbytes > size:
                 raise CheckpointError(f"{path}: tensor '{name}' payload truncated")
+            if prefixes is not None and not name.startswith(prefixes):
+                f.seek(nbytes, os.SEEK_CUR)
+                continue
             try:
                 arr = np.empty(dims, dtype=dt)
             except ValueError:  # a zero-size shape can still exceed numpy's dimension limit

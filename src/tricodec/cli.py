@@ -70,6 +70,8 @@ _TOP_KEYS = {
     "contrastive": dict,
     **_STAGE_KEYS,
 }
+# share of speech clips the finetune stage keeps when a config sets none
+_FINETUNE_FRACTION = 0.5
 _MASK_KEYS = _scalar_fields(MaskSpec)
 _CONTRASTIVE_KEYS = _scalar_fields(ContrastiveConfig)
 _REQUIRED = ("stage", "manifest", "out_dir")
@@ -108,7 +110,7 @@ def load_train_config(path) -> dict:
         Stage.from_string(raw["stage"])
     except ValueError as e:
         raise ConfigError(f"config key 'stage': {e}") from None
-    fraction = raw.get("finetune_fraction", 0.5)
+    fraction = raw.get("finetune_fraction", _FINETUNE_FRACTION)
     if not 0 < fraction <= 1:
         raise ConfigError(f"config key 'finetune_fraction' must be in (0, 1], got {fraction}")
     return raw
@@ -169,7 +171,7 @@ def cmd_train(args) -> int:
     cfg = _stage_config_from(raw)
     clips = _load_training_clips(raw["manifest"])
     if cfg.stage == Stage.FINETUNE:
-        clips = curate_finetune(clips, raw.get("finetune_fraction", 0.5))
+        clips = curate_finetune(clips, raw.get("finetune_fraction", _FINETUNE_FRACTION))
     init_from = raw.get("init_checkpoint")
     if init_from is None and cfg.stage != Stage.ACOUSTIC:
         raise StageOrderError(

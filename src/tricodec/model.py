@@ -276,13 +276,17 @@ class Codec:
     def load(cls, path) -> "Codec":
         """The codec saved at ``path``, in float32, for inference.
 
-        Each floating-point tensor is cast to float32 as it is read
-        (``checkpoint.load_tensors``), so no float64 copy of the whole
-        checkpoint is held, and encode and decode then run in float32. The
-        codebook search stays float64 (``quantizer.effective_book``), and
-        training resumes in float64 (``training.train_stage``).
+        Only the parameters and the config are read: a training
+        checkpoint's optimizer state is skipped unread. Each floating-point
+        tensor is cast to float32 as it is read (``checkpoint.load_tensors``),
+        so no float64 copy of the whole checkpoint is held, and encode and
+        decode then run in float32, the codebook search's screen included
+        (``quantizer.effective_book``); its exact re-rank of the near
+        candidates is float64. Training resumes in float64
+        (``training.train_stage``).
         """
-        return cls._from_arrays(ckpt.load_tensors(path, dtype=np.float32), path, np.float32)
+        arrays = ckpt.load_tensors(path, dtype=np.float32, prefixes=("param/", "meta/config_json"))
+        return cls._from_arrays(arrays, path, np.float32)
 
     @classmethod
     def _from_arrays(cls, arrays: dict, path, dtype) -> "Codec":

@@ -47,6 +47,9 @@ BASE_STD = 1.0
 # commitment weight (VQ-VAE's beta)
 COMMIT_BETA = 0.25
 
+# book rows per block when effective_book takes the float64 norms
+_NORM_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class QuantizerConfig:
@@ -123,12 +126,19 @@ def effective_codewords(params: dict) -> Tensor:
 
 
 def effective_book(params: dict) -> tuple:
-    """(codewords, squared row norms) of the whole effective book as float64
-    arrays, built without a graph: the search's inputs, which depend only on
-    the ``vq.*`` parameters."""
+    """(codewords, squared row norms) of the whole effective book, built
+    without a graph: the search's inputs, which depend only on the ``vq.*``
+    parameters. The codewords keep the parameters' dtype, so float32
+    inference holds a float32 book; the norms are the float64 sums of
+    squares of those values, taken a block of rows at a time so that no
+    float64 copy of a float32 book is held."""
     with no_grad():
-        book = np.asarray(effective_codewords(params).data, dtype=np.float64)
-    return book, np.sum(book * book, axis=1)
+        book = effective_codewords(params).data
+    sq = np.empty(len(book))
+    for i in range(0, len(book), _NORM_ROWS):
+        rows = book[i : i + _NORM_ROWS].astype(np.float64, copy=False)
+        sq[i : i + _NORM_ROWS] = np.sum(rows * rows, axis=1)
+    return book, sq
 
 
 def simvq_embed(ids, params: dict) -> Tensor:
@@ -148,27 +158,41 @@ def simvq_embed(ids, params: dict) -> Tensor:
 def _nearest(f: np.ndarray, book: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """Row index of the nearest book row for each row of ``f`` under squared
     Euclidean distance, ties to the lowest index; ``sq`` holds the book's
-    squared row norms.
+    squared row norms in float64.
 
-    A GEMM screen ranks by the expanded ``-2 f.c + |c|^2``, whose rounding
-    depends on how BLAS blocks the product, so bit-identical codewords can
-    get different screened values. Every candidate within the screen's
-    float64 error bound of its row minimum is therefore re-ranked by the
-    exact sum of squared differences, which is the same for identical rows.
+    A GEMM screen in the book's dtype ranks by the expanded
+    ``-2 f.c + |c|^2``, with ``f`` and the norms rounded to that dtype.
+    Its rounding depends on how BLAS blocks the product, so bit-identical
+    codewords can get different screened values, and in float32 two rows
+    whose distances differ below float32 rounding can swap. Every
+    candidate within the screen's error bound of its row minimum is
+    therefore re-ranked by the exact float64 sum of squared differences,
+    which is the same for identical rows. With u the unit roundoff of the
+    book's dtype (half its eps), D the width and c any codeword, a screened
+    value is off by at most
+      - 2 u |f| |c| from rounding ``f`` to the book's dtype,
+      - 2 D u |f| |c| (to first order in u) from the GEMM,
+      - u |c|^2 from rounding the norm, and
+      - u (2 |f| |c| + |c|^2) from the final sum,
+    which with 2 |f| |c| <= |f|^2 + |c|^2 totals at most
+    (D + 2) u (|f|^2 + 2 |c|^2). The tolerance is that bound with 2 eps = 4 u
+    in place of u: one factor of two because two screened values are
+    compared, the other for the second-order terms and the float64 rounding
+    of the norms themselves. When ``f`` and the book already hold values of
+    the book's dtype, as in float32 inference, the candidates' exact
+    distances are the values a float64 search of the same values sees, so
+    the ids are too.
     """
-    d = f @ book.T
+    f64 = np.asarray(f, dtype=np.float64)
+    d = np.asarray(f, dtype=book.dtype) @ book.T
     d *= -2.0
-    d += sq
+    d += sq.astype(book.dtype, copy=False)
     dmin = d.min(axis=1)
-    # |error| of each screened value <= (D + 2) eps (|f|^2 + 2 |c|^2); doubled
-    # because two screened values are compared
-    tol = 2.0 * (f.shape[1] + 2) * np.finfo(np.float64).eps * (
-        np.sum(f * f, axis=1) + 2.0 * sq.max()
-    )
+    tol = 2.0 * (f.shape[1] + 2) * np.finfo(book.dtype).eps * (np.sum(f64 * f64, axis=1) + 2.0 * sq.max())
     near = d <= (dmin + tol)[:, None]
     near[np.arange(len(d)), np.argmin(d, axis=1)] = True  # keeps non-finite rows
     rows, cols = np.nonzero(near)
-    exact = np.sum((f[rows] - book[cols]) ** 2, axis=1)
+    exact = np.sum((f64[rows] - book[cols]) ** 2, axis=1)
     # rows ascending, then exact distance, then column: first hit per row wins
     order = np.lexsort((cols, exact, rows))
     first = np.ones(len(order), dtype=bool)
@@ -197,9 +221,7 @@ def quantize(
     """
     codewords, sq = effective_book(params) if book is None else book
     lo, hi = (0, cfg.codebook_size) if domain is None else cfg.region(domain)
-    f = np.asarray(frames.data, dtype=np.float64)
-
-    ids = lo + _nearest(f, codewords[lo:hi], sq[lo:hi])
+    ids = lo + _nearest(frames.data, codewords[lo:hi], sq[lo:hi])
     quantized = passthrough(frames, simvq_embed(ids, params))
     stream = TokenStream(ids=ids, frame_rate=frame_rate, codebook_size=cfg.codebook_size)
     return stream, quantized

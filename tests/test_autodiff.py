@@ -65,6 +65,29 @@ def test_gelu_matches_erf_form():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def test_gelu_float32_within_rounding_of_erf_form():
+    from scipy.special import erf
+
+    x = np.concatenate([np.linspace(-10, 10, 200_001), [0.0, -0.0, 30.0, -30.0]]).astype(np.float32)
+    got = gelu(Tensor(x)).data
+    assert got.dtype == np.float32 and np.all(np.isfinite(got))
+    assert gelu(Tensor(np.array(0.0, dtype=np.float32))).data == 0.0
+    x64 = x.astype(np.float64)
+    want = x64 * 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(x64))
+    assert err.max() <= 1e-6, f"max scaled error {err.max():.3e} at x = {x[np.argmax(err)]}"
+
+
+def test_gelu_float64_is_the_scipy_erf_form():
+    from scipy.special import erf
+
+    x = np.random.default_rng(3).normal(0.0, 3.0, (64, 33))
+    cdf = erf(x * (1.0 / np.sqrt(2.0)))
+    cdf += 1.0
+    cdf *= 0.5
+    assert np.array_equal(gelu(Tensor(x)).data, x * cdf)
+
+
 def test_conv1d_kernel_one_identity():
     rng = np.random.default_rng(1)
     x = Tensor(rand(rng, 20, 1))

@@ -162,6 +162,33 @@ def test_load_converts_floating_tensors(tmp_path, dtype):
         assert np.array_equal(back[name], want), name
 
 
+def test_load_prefixes_reads_only_matching_records(tmp_path):
+    p = tmp_path / "p.tckp"
+    arrays = sample_arrays()
+    save_tensors(p, arrays)
+    back = load_tensors(p, dtype=np.float32, prefixes=("vq.", "meta/", "blob"))
+    assert list(back) == ["vq.base", "meta/step", "blob"]
+    assert back["vq.base"].dtype == np.float32
+    assert np.array_equal(back["vq.base"], arrays["vq.base"].astype(np.float32))
+    assert np.array_equal(back["blob"], arrays["blob"])
+
+
+def test_load_prefixes_checks_skipped_records(tmp_path):
+    # a record that is skipped unread must still lie within the file, and
+    # bytes after the last record are still refused
+    p = tmp_path / "q.tckp"
+    save_tensors(p, sample_arrays())
+    raw = p.read_bytes()
+    p.write_bytes(raw[:-3])  # inside the last record, "blob"
+    with pytest.raises(CheckpointError) as e:
+        load_tensors(p, prefixes=("enc.",))
+    assert "'blob'" in str(e.value) and "truncated" in str(e.value)
+    p.write_bytes(raw + b"junk")
+    with pytest.raises(CheckpointError) as e:
+        load_tensors(p, prefixes=("enc.",))
+    assert "trailing" in str(e.value)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     p = tmp_path / "i.tckp"
     save_tensors(p, {"x": np.ones(2)})

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tricodec import checkpoint as ckpt
-from tricodec import quantizer
+from tricodec import quantizer, training
 from tricodec.checkpoint import CheckpointError
 from tricodec.decoder import DecoderConfig
 from tricodec.encoder import EncoderConfig, MoEConfig
@@ -244,6 +244,26 @@ def test_float32_load_never_holds_the_float64_checkpoint(tmp_path):
         tracemalloc.stop()
     assert loaded.dtype == np.float32
     assert peak < payload + largest // 2 + (256 << 10), f"peak {peak} for a {payload}-byte payload"
+
+
+def test_load_skips_the_optimizer_state(tmp_path):
+    # a training checkpoint also holds AdamW's two moments per trainable
+    # parameter; Codec.load seeks past them, so its peak stays below what
+    # holding the float32 parameters and moments together would take
+    codec = Codec(CodecConfig.toy(), seed=5)
+    p = tmp_path / "train.tckp"
+    training._save_state(p, codec, training.AdamW(codec.trainable()), np.random.default_rng(0), 0, 1, 0)
+    params = sum(t.data.size for t in codec.params.values()) * 4
+    moments = sum(2 * t.data.size for t in codec.trainable().values()) * 4
+    tracemalloc.start()
+    try:
+        loaded = Codec.load(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params + moments, f"peak {peak} for {params} bytes of parameters and {moments} of moments"
+    for k, v in codec.params.items():
+        assert np.array_equal(loaded.params[k].data, v.data.astype(np.float32)), k
 
 
 def test_load_requires_embedded_config(tmp_path):

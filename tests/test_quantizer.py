@@ -4,9 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricodec.autodiff import Tensor, backward, mul, tsum
 from tricodec.quantizer import (
+    _NORM_ROWS,
     BASE_MEAN,
     BASE_STD,
     QuantizerConfig,
@@ -21,6 +24,7 @@ from tricodec.quantizer import (
     quantize,
     save_tokens,
     simvq_embed,
+    _nearest,
     utilization,
 )
 from tricodec.signal import Domain
@@ -116,6 +120,58 @@ def test_quantize_duplicate_rows_in_distant_gemm_blocks_tie_break_to_lowest_id()
         assert stream.ids[0] == 265, f"seed {seed}"
         rstream, _ = quantize(Tensor(frames), params, cfg, domain=Domain.SOUND)
         assert rstream.ids[0] == 265, f"seed {seed}"
+
+
+def exact_oracle(frames, book):
+    """Brute force in float64: exact squared distance to every row, ties to
+    the lowest id."""
+    book = book.astype(np.float64)
+    return np.array([int(np.argmin(np.sum((book - f) ** 2, axis=1))) for f in frames.astype(np.float64)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    book_dtype=st.sampled_from([np.float32, np.float64]),
+    frame_dtype=st.sampled_from([np.float32, np.float64]),
+    size=st.integers(1, 600),
+    width=st.integers(1, 48),
+    offset=st.sampled_from([0.0, 4.0, 100.0]),
+)
+def test_nearest_matches_exact_oracle(seed, book_dtype, frame_dtype, size, width, offset):
+    # Rows far apart in the book (so in different GEMM blocks) are made
+    # bit-identical or one ulp apart; frames sit on or just off them. The
+    # screen's rounding, larger in float32 and with a large shared offset,
+    # cannot tell such rows apart, and only the exact re-rank can.
+    rng = np.random.default_rng(seed)
+    book = (offset + rng.standard_normal((size, width))).astype(book_dtype)
+    anchors = rng.integers(0, max(1, size // 8), 4)
+    for a in anchors:
+        far = size - 1 - int(rng.integers(max(1, size // 8)))
+        book[far] = book[a]
+        k = int(rng.integers(width))
+        if rng.random() < 0.5:  # one ulp apart in one coordinate
+            book[far, k] = np.nextafter(book[a, k], np.inf if rng.random() < 0.5 else -np.inf)
+    on = book[rng.choice(np.concatenate([anchors, rng.integers(0, size, 2)]), 8)].astype(np.float64)
+    near = on + rng.normal(0.0, 10.0 ** rng.uniform(-7, -1), on.shape)
+    frames = np.concatenate([on, near, offset + rng.standard_normal((4, width))]).astype(frame_dtype)
+    sq = np.sum(book.astype(np.float64) ** 2, axis=1)
+    assert np.array_equal(_nearest(frames, book, sq), exact_oracle(frames, book))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_effective_book_keeps_parameter_dtype_and_float64_norms(dtype):
+    # a book of several norm blocks: the codewords stay in the parameters'
+    # dtype, the norms are their float64 sums of squares, bit for bit
+    cfg = QuantizerConfig(codebook_size=2 * _NORM_ROWS + 37, speech_end=100, music_end=200)
+    raw = init_quantizer_params(cfg, HIDDEN, np.random.default_rng(4))
+    raw["vq.proj"] += np.random.default_rng(5).normal(0.0, 0.3, raw["vq.proj"].shape)
+    params = {k: Tensor(v.astype(dtype)) for k, v in raw.items()}
+    book, sq = effective_book(params)
+    assert book.dtype == dtype and sq.dtype == np.float64
+    assert np.array_equal(book, effective_codewords(params).data)
+    book64 = book.astype(np.float64)
+    assert np.array_equal(sq, np.sum(book64 * book64, axis=1))
 
 
 def test_quantize_identity_projection_keeps_base_geometry():
