@@ -1,12 +1,14 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-Provides exactly the operators the codec graph needs: matmul (dense and
-batched), 1-D convolutions, the usual pointwise nonlinearities,
-reductions, indexing, ``index_add_rows`` (which adds a row block into
-given distinct rows: the scatter of the MoE's sparse expert dispatch),
-and a straight-through passthrough for the quantizer. Layer norm,
-rotary-position attention and the Hann-windowed STFT magnitude of the
-mel loss (``stft_mag``) are single ops with closed-form backward passes.
+Provides exactly the operators the codec graph needs: 1-D convolutions,
+the usual pointwise nonlinearities, reductions, indexing,
+``index_add_rows`` (which adds a row block into given distinct rows: the
+scatter of the MoE's sparse expert dispatch), and a straight-through
+passthrough for the quantizer. The dense layer ``linear`` (x @ w.T + b:
+the expert FFNs, the router, the codebook projection and the mel
+filterbank), layer norm, rotary-position attention and the Hann-windowed
+STFT magnitude of the mel loss (``stft_mag``) are single ops with
+closed-form backward passes.
 The graph is the implicit DAG linking each result tensor to its parents;
 ``backward`` walks it in exact reverse topological order. Graphs are
 confined to the context that built them; distinct graphs may run
@@ -56,9 +58,7 @@ __all__ = [
     "gelu",
     "tsum",
     "tmean",
-    "matmul",
     "reshape",
-    "transpose",
     "gather_rows",
     "masked_fill_rows",
     "index_add_rows",
@@ -161,9 +161,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _as_tensor(other, self.dtype))
 
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other, self.dtype))
-
     def __getitem__(self, key):
         return _getitem(self, key)
 
@@ -175,9 +172,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -399,39 +393,30 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # linear algebra and structure
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim >= 3 or b.ndim >= 3:
-        if a.shape[:-2] != b.shape[:-2]:
-            raise ShapeError(f"matmul: batch dims differ, {a.shape} vs {b.shape}")
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
-    data = a.data @ b.data
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """x @ w.T (+ b) as one op: ``x`` is (T, in), ``w`` (out, in) and ``b``
+    (out,). The backward gives g @ w to x, (x.T @ g).T to w and the column
+    sums of g to b, each only for an operand that requires grad."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear: input {x.shape} vs weight {w.shape}")
+    if b is not None and b.shape != w.shape[:1]:
+        raise ShapeError(f"linear: bias {b.shape} vs weight {w.shape}")
+    data = x.data @ w.data.T
+    if b is not None:
+        data += b.data
 
     def bwd(g):
-        if b.ndim == 1:
-            ga = np.outer(g, b.data) if a.ndim > 1 else g * b.data
-            gb = a.data.T @ g if a.ndim > 1 else a.data * g
-            return ga.reshape(a.shape), gb.reshape(b.shape)
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return ga.reshape(a.shape), gb.reshape(b.shape)
+        gx = g @ w.data if x.requires_grad else None
+        gw = (x.data.T @ g).T if w.requires_grad else None
+        gb = g.sum(axis=0) if b is not None and b.requires_grad else None
+        return gx, gw, gb  # backward pairs these with the parents, so gb drops without a bias
 
-    return _make(data, (a, b), bwd, "matmul")
+    return _make(data, (x, w) if b is None else (x, w, b), bwd, "linear")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
     return _make(data, (a,), lambda g: (g.reshape(a.shape),), "reshape")
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    data = a.data.transpose(axes)
-    inv = None if axes is None else np.argsort(axes)
-
-    def bwd(g):
-        return (g.transpose(inv),)
-
-    return _make(data, (a,), bwd, "transpose")
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -513,16 +498,6 @@ def passthrough(x: Tensor, y: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # composites
-
-
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """x @ w.T (+ b). ``w`` is (out_features, in_features)."""
-    if x.shape[-1] != w.shape[-1]:
-        raise ShapeError(f"linear: input dim {x.shape} vs weight {w.shape}")
-    out = matmul(x, transpose(w))
-    if b is not None:
-        out = add(out, b)
-    return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -206,6 +206,8 @@ def cmd_decode(args) -> int:
             f"{args.tokens}: book {stream.codebook_size}, {stream.frame_rate} tokens/s, {stream.source_sample_rate} Hz; "
             f"the checkpoint decodes book {want[0]}, {want[1]} tokens/s, {want[2]} Hz"
         )
+    if not len(stream.ids):
+        raise TokenStreamError(f"{args.tokens}: holds no token ids")
     clip = codec.decode_tokens(stream)
     save_wav(args.out, clip)
     print(f"wrote {len(clip)} samples to {args.out}")

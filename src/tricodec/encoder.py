@@ -22,12 +22,10 @@ from .autodiff import (
     layer_norm,
     linear,
     masked_fill_rows,
-    matmul,
     mul,
     reshape,
     rope_attention,
     sigmoid,
-    transpose,
     tsum,
 )
 
@@ -174,7 +172,7 @@ def moe_gate(u, centroids: Tensor, k_routed: int) -> Tensor:
     """
     single = u.ndim == 1
     ut = reshape(u, (1, u.shape[0])) if single else u
-    s = sigmoid(matmul(ut, transpose(centroids)))            # (T, N_r)
+    s = sigmoid(linear(ut, centroids))                       # (T, N_r)
     order = np.argsort(-s.data, axis=1, kind="stable")       # stable sort -> lowest index on ties
     sel = order[:, :k_routed]
     keep = np.zeros_like(s.data)

@@ -1,7 +1,7 @@
 """Training objectives and evaluation distances: span masking, the masked
 contrastive loss, time+mel reconstruction loss (differentiable; the mel
-term is the fused ``autodiff.stft_mag`` op followed by the filterbank
-product), and metric-grade mel/STFT distances (plain numpy).
+term is the fused ``autodiff.stft_mag`` op followed by the filterbank,
+one ``autodiff.linear``), and metric-grade mel/STFT distances (plain numpy).
 
 Random choices (mask starts, distractors) come from an explicit numpy
 Generator owned by the caller, keeping every sampling decision replayable.
@@ -18,8 +18,8 @@ from .autodiff import (
     cosine_similarity,
     div,
     gather_rows,
+    linear,
     logsumexp,
-    matmul,
     reshape,
     stft_mag,
     sub,
@@ -128,7 +128,7 @@ def contrastive_loss(
 def _mel_tensor(x: Tensor) -> Tensor:
     """Mel magnitude frames of a waveform Tensor at the codec rate,
     differentiable; shape (frames, n_mels)."""
-    return matmul(stft_mag(x, N_FFT, HOP), Tensor(mel_filterbank().T.astype(x.dtype.name)))
+    return linear(stft_mag(x, N_FFT, HOP), Tensor(mel_filterbank().astype(x.dtype.name)))
 
 
 def _as_wave_tensor(x) -> Tensor:

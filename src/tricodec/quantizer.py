@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows, matmul, mul, no_grad, passthrough, stop_gradient, sub, tmean, transpose, tsum
+from .autodiff import Tensor, gather_rows, linear, mul, no_grad, passthrough, stop_gradient, sub, tmean, tsum
 from .signal import SAMPLE_RATE, Domain
 
 __all__ = [
@@ -122,7 +122,7 @@ def init_quantizer_params(cfg: QuantizerConfig, hidden: int, rng: np.random.Gene
 
 def effective_codewords(params: dict) -> Tensor:
     """All effective codewords, shape (codebook_size, hidden)."""
-    return matmul(params["vq.base"], transpose(params["vq.proj"]))
+    return linear(params["vq.base"], params["vq.proj"])
 
 
 def effective_book(params: dict) -> tuple:
@@ -152,7 +152,7 @@ def simvq_embed(ids, params: dict) -> Tensor:
             f"codebook id out of range [0, {params['vq.base'].shape[0]}): "
             f"min {ids.min()}, max {ids.max()}"
         )
-    return matmul(gather_rows(params["vq.base"], ids), transpose(params["vq.proj"]))
+    return linear(gather_rows(params["vq.base"], ids), params["vq.proj"])
 
 
 def _nearest(f: np.ndarray, book: np.ndarray, sq: np.ndarray) -> np.ndarray:

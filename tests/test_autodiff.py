@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from tricodec.autodiff import (
     linear,
     logsumexp,
     masked_fill_rows,
-    matmul,
     mul,
     no_grad,
     passthrough,
@@ -38,7 +38,6 @@ from tricodec.autodiff import (
     texp,
     tlog,
     tmean,
-    transpose,
     tsqrt,
     tsum,
 )
@@ -308,9 +307,10 @@ OPS = [
     ("sigmoid", lambda x: sigmoid(x), 1),
     ("gelu", lambda x: gelu(x), 1),
     ("tmean", lambda x: tmean(x, axis=0, keepdims=True), 1),
-    ("matmul", lambda x, y: matmul(x, transpose(y)), 2),
+    ("linear", lambda x, y: linear(x, y), 2),
+    # x reaches the weight and the bias too, so all three backward outputs are checked
+    ("linear_bias", lambda x, y: linear(x, mul(x, y), x[:, 0]), 2),
     ("reshape", lambda x: reshape(x, (-1,)), 1),
-    ("transpose", lambda x: transpose(x), 1),
     ("layer_norm", lambda x: layer_norm(x, Tensor(np.ones(x.shape[-1])), Tensor(np.zeros(x.shape[-1]))), 1),
     ("cosine", lambda x, y: cosine_similarity(x, y), 2),
     ("logsumexp", lambda x: logsumexp(x, axis=-1), 1),
@@ -321,7 +321,7 @@ OPS = [
 
 @pytest.mark.parametrize("name,op,arity", OPS, ids=[o[0] for o in OPS])
 def test_op_backward_three_shapes(name, op, arity):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for shape in [(3, 4), (2, 6), (4, 4)]:
         other = Tensor(rand(rng, *shape))
 
@@ -365,21 +365,18 @@ def test_broadcast_add_mul_grads():
     assert np.allclose(r.grad, x.data.sum(axis=0), atol=1e-12)
 
 
-def test_matmul_batched_grads():
-    rng = np.random.default_rng(16)
-    b = Tensor(rand(rng, 3, 5, 4))
-
-    def f(x):
-        return tmean(matmul(x, b))
-
-    rep = grad_check(f, Tensor(rand(rng, 3, 2, 5)))
-    assert rep.passed, str(rep)
-
-
-def test_matmul_shape_error_lists_both_shapes():
+@pytest.mark.parametrize(
+    "x_shape, w_shape, b_shape",
+    [((5,), (3, 5), None), ((2, 5), (1, 3, 5), None), ((2, 3), (4, 5), None), ((2, 5), (4, 5), (5,)),
+     ((2, 5), (4, 5), (1, 4))],
+    ids=["1-D x", "3-D w", "inner", "bias length", "2-D bias"],
+)
+def test_linear_shape_error_lists_both_shapes(x_shape, w_shape, b_shape):
+    b = None if b_shape is None else Tensor(np.ones(b_shape))
     with pytest.raises(ShapeError) as e:
-        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
-    assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
+        linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), b)
+    named = (w_shape, x_shape if b_shape is None else b_shape)
+    assert all(str(s) in str(e.value) for s in named), str(e.value)
 
 
 def test_gather_rows_forward_and_grad():
@@ -601,6 +598,30 @@ def test_layer_norm_grad_all_inputs():
     for shape in [(1, 4), (3, 4), (5, 6)]:
         args = (rand(rng, *shape) * 2 + 1, 1.0 + 0.3 * rand(rng, shape[-1]), rand(rng, shape[-1]))
         grad_check_each_operand(layer_norm, args, shape, rng)
+
+
+def test_linear_grad_all_inputs():
+    # (T, in) @ (out, in).T + (out,), with and without the bias, T = 1 included
+    rng = np.random.default_rng(26)
+    for t, n_in, n_out in [(1, 3, 2), (4, 5, 3), (6, 2, 7)]:
+        x, w, b = rand(rng, t, n_in), rand(rng, n_out, n_in), rand(rng, n_out)
+        grad_check_each_operand(linear, (x, w, b), (t, n_out), rng)
+        grad_check_each_operand(linear, (x, w), (t, n_out), rng)
+
+
+def test_linear_values_and_frozen_operands():
+    rng = np.random.default_rng(27)
+    xv, wv, bv = rand(rng, 4, 3), rand(rng, 5, 3), rand(rng, 5)
+    assert np.array_equal(linear(Tensor(xv), Tensor(wv), Tensor(bv)).data, xv @ wv.T + bv)
+    x, w, b = Tensor(xv, requires_grad=True), Tensor(wv), Tensor(bv, requires_grad=True)
+    backward(tsum(linear(x, w, b)))
+    assert w.grad is None
+    assert np.array_equal(x.grad, np.ones((4, 5)) @ wv)
+    assert np.array_equal(b.grad, np.full(5, 4.0))
+    x, w = Tensor(xv), Tensor(wv, requires_grad=True)
+    backward(tsum(linear(x, w)))
+    assert x.grad is None
+    assert np.array_equal(w.grad, (xv.T @ np.ones((4, 5))).T)
 
 
 def test_rope_attention_grad():

@@ -408,6 +408,17 @@ def test_decode_tokens_from_another_codec_categorized(workdir, capsys, book, rat
     assert not out_wav.exists()
 
 
+def test_decode_empty_token_stream_categorized(workdir, capsys):
+    # encode never writes a stream without ids, so one is a bad input file
+    tokens = workdir / "empty.uctk"
+    save_tokens(tokens, TokenStream(np.array([], dtype=np.int64), codebook_size=512))
+    ckpt = str(workdir / "run_a" / "ckpt_final.tckp")
+    out_wav = workdir / "empty.wav"
+    assert main(["decode", "--ckpt", ckpt, "--out", str(out_wav), str(tokens)]) == 3
+    assert capsys.readouterr().err.startswith("error: category=token-format:")
+    assert not out_wav.exists()
+
+
 def test_bad_checkpoint_categorized(workdir, capsys):
     bad = workdir / "bad.tckp"
     bad.write_bytes(b"JUNKJUNKJUNK")
