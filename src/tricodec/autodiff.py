@@ -1,14 +1,18 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Provides exactly the operators the codec graph needs: 1-D convolutions,
-the usual pointwise nonlinearities, reductions, indexing,
-``index_add_rows`` (which adds a row block into given distinct rows: the
-scatter of the MoE's sparse expert dispatch), and a straight-through
-passthrough for the quantizer. The dense layer ``linear`` (x @ w.T + b:
-the expert FFNs, the router, the codebook projection and the mel
-filterbank), layer norm, rotary-position attention and the Hann-windowed
-STFT magnitude of the mel loss (``stft_mag``) are single ops with
-closed-form backward passes.
+arithmetic (``add``, ``mul``, ``div``), the pointwise nonlinearities
+``tanh``, ``sigmoid`` and ``gelu``, the reduction ``tsum``, ``reshape``,
+row gathers and indexing, ``masked_fill_rows``, ``index_add_rows`` (which
+adds a row block into given distinct rows: the scatter of the MoE's sparse
+expert dispatch), and a straight-through passthrough for the quantizer.
+The dense layer ``linear`` (x @ w.T + b: the expert FFNs, the router, the
+codebook projection and the mel filterbank), layer norm, rotary-position
+attention and the Hann-windowed STFT magnitude of the mel loss
+(``stft_mag``) are single ops with closed-form backward passes, and so is
+each loss term: ``l1_distance`` (the time and mel reconstruction terms),
+``sq_distance`` (the codebook commitment and alignment terms) and
+``info_nce`` (the masked contrastive term).
 The graph is the implicit DAG linking each result tensor to its parents;
 ``backward`` walks it in exact reverse topological order. Graphs are
 confined to the context that built them; distinct graphs may run
@@ -46,31 +50,25 @@ __all__ = [
     "GradCheckReport",
     "no_grad",
     "add",
-    "sub",
     "mul",
     "div",
-    "tabs",
-    "texp",
-    "tlog",
-    "tsqrt",
     "tanh",
     "sigmoid",
     "gelu",
     "tsum",
-    "tmean",
     "reshape",
     "gather_rows",
     "masked_fill_rows",
     "index_add_rows",
     "linear",
     "layer_norm",
-    "cosine_similarity",
-    "logsumexp",
     "conv1d",
     "conv1d_transpose",
     "rope_attention",
     "stft_mag",
-    "stop_gradient",
+    "l1_distance",
+    "sq_distance",
+    "info_nce",
     "passthrough",
 ]
 
@@ -139,45 +137,8 @@ class Tensor:
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
-    # operators
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
     def __getitem__(self, key):
         return _getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 _GRAD_ENABLED: ContextVar[bool] = ContextVar("tricodec_grad_enabled", default=True)
@@ -243,14 +204,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)), "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} vs {b.shape}") from None
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)), "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data * b.data
@@ -276,29 +229,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _make(data, (a, b), bwd, "div")
-
-
-def tabs(a: Tensor) -> Tensor:
-    # subgradient 0 at 0
-    return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),), "abs")
-
-
-def texp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-    return _make(data, (a,), lambda g: (g * data,), "exp")
-
-
-def tlog(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-    return _make(data, (a,), lambda g: (g / a.data,), "log")
-
-
-def tsqrt(a: Tensor) -> Tensor:
-    with np.errstate(invalid="ignore"):
-        data = np.sqrt(a.data)
-    return _make(data, (a,), lambda g: (g * (0.5 / data),), "sqrt")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -376,19 +306,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(data), (a,), bwd, "sum")
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.shape[axis]
-
-    def bwd(g):
-        g = np.asarray(g) / count
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _make(np.asarray(data), (a,), bwd, "mean")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and structure
 
@@ -434,10 +351,17 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
 def _getitem(a: Tensor, key) -> Tensor:
     data = a.data[key]
+    # ints and slices pick each element at most once; an index array may
+    # pick one more than once, and then every pick adds its gradient
+    parts = key if isinstance(key, tuple) else (key,)
+    basic = all(k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice)) for k in parts)
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        ga[key] = g
+        if basic:
+            ga[key] = g
+        else:
+            np.add.at(ga, key, g)
         return (ga,)
 
     return _make(np.asarray(data), (a,), bwd, "getitem")
@@ -479,10 +403,6 @@ def index_add_rows(x: Tensor, idx, rows: Tensor) -> Tensor:
     return _make(data, (x, rows), lambda g: (g, g[idx]), "index_add_rows")
 
 
-def stop_gradient(a: Tensor) -> Tensor:
-    return Tensor(a.data.copy())
-
-
 def passthrough(x: Tensor, y: Tensor) -> Tensor:
     """Identity-gradient passthrough: forwards ``y``, routes the upstream
     gradient unchanged to both ``x`` and ``y``.
@@ -516,21 +436,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         return gx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
 
     return _make(data, (x, gain, bias), bwd, "layer_norm")
-
-
-def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
-    """a.b / (|a||b|) along ``axis``; norms floored at 1e-12."""
-    dot = tsum(mul(a, b), axis=axis)
-    na = tsqrt(add(tsum(mul(a, a), axis=axis), _as_tensor(1e-24, a.dtype)))
-    nb = tsqrt(add(tsum(mul(b, b), axis=axis), _as_tensor(1e-24, b.dtype)))
-    return div(dot, mul(na, nb))
-
-
-def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
-    shift = np.max(x.data, axis=axis, keepdims=True)
-    shifted = sub(x, _as_tensor(shift, x.dtype))
-    lse = tlog(tsum(texp(shifted), axis=axis))
-    return add(lse, _as_tensor(np.squeeze(shift, axis=axis), x.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +678,98 @@ def stft_mag(x: Tensor, fft_size: int, hop: int) -> Tensor:
         return (gx[:t],)
 
     return _make(mag, (x,), bwd, "stft_mag")
+
+
+# ---------------------------------------------------------------------------
+# loss terms
+
+
+def l1_distance(a: Tensor, b: Tensor) -> Tensor:
+    """Mean absolute difference of two same-shape tensors. Backward:
+    sign(a - b) / size to ``a`` and its negative to ``b``, with
+    subgradient 0 where they tie."""
+    if a.shape != b.shape:
+        raise ShapeError(f"l1_distance: shapes differ, {a.shape} vs {b.shape}")
+    diff = a.data - b.data
+    data = np.asarray(np.abs(diff).mean())
+
+    def bwd(g):
+        ga = np.broadcast_to(np.asarray(g) / diff.size, diff.shape) * np.sign(diff)
+        return ga, -ga
+
+    return _make(data, (a, b), bwd, "l1_distance")
+
+
+def sq_distance(a: Tensor, target) -> Tensor:
+    """Mean over the rows of ``a`` (rows, dim) of the squared Euclidean
+    distance to the same row of ``target``, a constant array that takes no
+    gradient. Backward: 2 (a - target) / rows to ``a``."""
+    target = np.asarray(target)
+    if a.ndim != 2 or target.shape != a.shape:
+        raise ShapeError(f"sq_distance: input {a.shape} vs target {target.shape}")
+    diff = a.data - target
+    data = np.asarray((diff * diff).sum(axis=-1).mean())
+
+    def bwd(g):
+        half = (np.asarray(g) / diff.shape[0]) * diff
+        return (half + half,)
+
+    return _make(data, (a,), bwd, "sq_distance")
+
+
+def info_nce(q: Tensor, c: Tensor, cand, temperature: float) -> Tensor:
+    """Mean over the rows i of ``cand`` of -log softmax_j(s_ij / temperature)
+    at j = 0, where s_ij is the cosine similarity of q[cand[i, 0]] and
+    c[cand[i, j]], each norm floored at 1e-12. ``q`` and ``c`` are
+    (T, dim); ``cand`` is a (rows, candidates) array of row indices, which
+    may repeat: column 0 holds each query's own step, the rest its
+    distractors.
+
+    Backward: with p the softmax and G_ij = (p_ij - [j = 0]) /
+    (rows * temperature), q's row cand[i, 0] gets sum_j G_ij (c_ij /
+    (|q_i| |c_ij|) - s_ij q_i / |q_i|^2) and c's row cand[i, j] gets
+    G_ij (q_i / (|q_i| |c_ij|) - s_ij c_ij / |c_ij|^2), summed over the
+    rows that pick it.
+    """
+    cand = np.asarray(cand)
+    if q.ndim != 2 or c.shape != q.shape:
+        raise ShapeError(f"info_nce: queries {q.shape} vs candidates {c.shape}")
+    if cand.ndim != 2 or cand.size == 0:
+        raise ShapeError(f"info_nce: candidate indices {cand.shape} are not a non-empty (rows, candidates) array")
+    if cand.min() < 0 or cand.max() >= q.shape[0]:
+        raise ShapeError(f"info_nce: candidate indices outside [0, {q.shape[0]})")
+    rows = cand.shape[0]
+    tau = np.asarray(temperature, q.dtype)
+    qi = q.data[cand[:, 0]]  # (rows, dim)
+    ci = c.data[cand]  # (rows, candidates, dim)
+    eps = np.asarray(1e-24, q.dtype)
+    nq = np.sqrt((qi * qi).sum(axis=-1) + eps)[:, None]
+    nc = np.sqrt((ci * ci).sum(axis=-1) + eps)
+    norms = nq * nc
+    sims = (qi[:, None, :] * ci).sum(axis=-1) / norms
+    logits = sims / tau
+    shift = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - shift)
+    total = e.sum(axis=-1)
+    data = np.asarray((np.log(total) + shift[:, 0] - logits[:, 0]).mean())
+
+    def bwd(g):
+        gs = e / total[:, None]
+        gs[:, 0] -= 1.0
+        gs *= np.asarray(g) / (rows * tau)
+        w = gs / norms
+        gq = gc = None
+        if q.requires_grad:
+            rows_q = np.einsum("rk,rkd->rd", w, ci) - ((gs * sims).sum(axis=-1)[:, None] / (nq * nq)) * qi
+            gq = np.zeros_like(q.data)
+            np.add.at(gq, cand[:, 0], rows_q)
+        if c.requires_grad:
+            rows_c = w[:, :, None] * qi[:, None, :] - (gs * sims / (nc * nc))[:, :, None] * ci
+            gc = np.zeros_like(c.data)
+            np.add.at(gc, cand, rows_c)
+        return gq, gc
+
+    return _make(data, (q, c), bwd, "info_nce")
 
 
 # ---------------------------------------------------------------------------

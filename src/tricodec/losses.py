@@ -1,7 +1,8 @@
 """Training objectives and evaluation distances: span masking, the masked
-contrastive loss, time+mel reconstruction loss (differentiable; the mel
-term is the fused ``autodiff.stft_mag`` op followed by the filterbank,
-one ``autodiff.linear``), and metric-grade mel/STFT distances (plain numpy).
+contrastive loss (one ``autodiff.info_nce`` op), time+mel reconstruction
+loss (differentiable ``autodiff.l1_distance`` terms; the mel frames are the
+fused ``autodiff.stft_mag`` op followed by the filterbank, one
+``autodiff.linear``), and metric-grade mel/STFT distances (plain numpy).
 
 Random choices (mask starts, distractors) come from an explicit numpy
 Generator owned by the caller, keeping every sampling decision replayable.
@@ -13,19 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    cosine_similarity,
-    div,
-    gather_rows,
-    linear,
-    logsumexp,
-    reshape,
-    stft_mag,
-    sub,
-    tabs,
-    tmean,
-)
+from .autodiff import Tensor, info_nce, l1_distance, linear, stft_mag
 from .signal import HOP, N_FFT, AudioClip, mel_filterbank, mel_spectrogram, stft_magnitude
 
 __all__ = [
@@ -112,13 +101,7 @@ def contrastive_loss(
     for row, t in enumerate(idx):
         others = idx[idx != t]
         cand[row, 1:] = rng.choice(others, size=k, replace=False)
-
-    q_m = reshape(gather_rows(q, idx), (m, 1, q.shape[1]))
-    c_cand = reshape(gather_rows(c, cand.reshape(-1)), (m, k + 1, c.shape[1]))
-    sims = cosine_similarity(q_m, c_cand, axis=-1)           # (m, k+1)
-    logits = div(sims, Tensor(np.asarray(TEMPERATURE, dtype=q.dtype)))
-    per_step = sub(logsumexp(logits, axis=-1), logits[:, 0])
-    return tmean(per_step)
+    return info_nce(q, c, cand, TEMPERATURE)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +126,10 @@ def reconstruction_terms(x, xhat) -> tuple:
     n = min(xt.shape[0], yt.shape[0])
     xt = xt[:n] if xt.shape[0] != n else xt
     yt = yt[:n] if yt.shape[0] != n else yt
-    time_l1 = tmean(tabs(sub(xt, yt)))
+    time_l1 = l1_distance(xt, yt)
     if n < N_FFT:
         return time_l1, Tensor(np.zeros((), dtype=xt.dtype))
-    mel_l1 = tmean(tabs(sub(_mel_tensor(xt), _mel_tensor(yt))))
+    mel_l1 = l1_distance(_mel_tensor(xt), _mel_tensor(yt))
     return time_l1, mel_l1
 
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows, linear, mul, no_grad, passthrough, stop_gradient, sub, tmean, tsum
+from .autodiff import Tensor, gather_rows, linear, mul, no_grad, passthrough, sq_distance
 from .signal import SAMPLE_RATE, Domain
 
 __all__ = [
@@ -231,9 +231,7 @@ def commitment_loss(frames: Tensor, quantized: Tensor) -> Tensor:
     """COMMIT_BETA * mean over frames of squared distance to the
     (stop-gradient) quantized frames: zero iff every frame already sits on
     its codeword."""
-    diff = sub(frames, stop_gradient(quantized))
-    per_frame = tsum(mul(diff, diff), axis=-1)
-    return mul(tmean(per_frame), Tensor(np.asarray(COMMIT_BETA, dtype=frames.dtype)))
+    return mul(sq_distance(frames, quantized.data), Tensor(np.asarray(COMMIT_BETA, dtype=frames.dtype)))
 
 
 def alignment_loss(frames: Tensor, codewords: Tensor) -> Tensor:
@@ -248,8 +246,7 @@ def alignment_loss(frames: Tensor, codewords: Tensor) -> Tensor:
     run with both this term and the commitment term dropped uses no fewer
     codewords per clip than with both, since the count follows how spread
     the encoder keeps its frames. Training adds it at unit weight."""
-    diff = sub(codewords, stop_gradient(frames))
-    return tmean(tsum(mul(diff, diff), axis=-1))
+    return sq_distance(codewords, frames.data)
 
 
 def utilization(streams: Sequence[TokenStream], cfg: QuantizerConfig, domain: Optional[Domain] = None) -> float:

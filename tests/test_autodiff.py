@@ -16,14 +16,15 @@ from tricodec.autodiff import (
     backward,
     conv1d,
     conv1d_transpose,
-    cosine_similarity,
+    div,
     gather_rows,
     index_add_rows,
+    info_nce,
     gelu,
     grad_check,
+    l1_distance,
     layer_norm,
     linear,
-    logsumexp,
     masked_fill_rows,
     mul,
     no_grad,
@@ -31,16 +32,12 @@ from tricodec.autodiff import (
     reshape,
     rope_attention,
     sigmoid,
+    sq_distance,
     stft_mag,
-    stop_gradient,
-    tabs,
     tanh,
-    texp,
-    tlog,
-    tmean,
-    tsqrt,
     tsum,
 )
+from tricodec import autodiff
 
 
 def rand(rng, *shape):
@@ -155,30 +152,6 @@ def test_layer_norm_matches_numpy_reference():
         assert np.array_equal(got, layer_norm_reference(x, gain, bias)), shape
 
 
-def test_cosine_similarity_bounds_and_self():
-    rng = np.random.default_rng(6)
-    a = rand(rng, 5, 8)
-    sim = cosine_similarity(Tensor(a), Tensor(a)).data
-    assert np.allclose(sim, 1.0, atol=1e-12)
-    b = rand(rng, 5, 8)
-    sim2 = cosine_similarity(Tensor(a), Tensor(b)).data
-    assert np.all(np.abs(sim2) <= 1.0 + 1e-12)
-
-
-def test_logsumexp_matches_naive():
-    rng = np.random.default_rng(7)
-    x = rand(rng, 4, 11) * 10
-    got = logsumexp(Tensor(x)).data
-    want = np.log(np.exp(x).sum(axis=-1))
-    assert np.allclose(got, want, atol=1e-10)
-
-
-def test_logsumexp_large_values_stable():
-    x = np.array([[1000.0, 1000.0]])
-    got = logsumexp(Tensor(x)).data
-    assert np.allclose(got, 1000.0 + np.log(2.0))
-
-
 # ---------------------------------------------------------------------------
 # backward basics
 
@@ -241,8 +214,9 @@ def test_mlp_weight_grads_match_finite_differences():
     w2 = rand(rng, 1, 8)
 
     def f(w):
-        return tsum(sigmoid(linear(Tensor(x), w, Tensor(b1)))) + tsum(
-            linear(gelu(linear(Tensor(x), w, Tensor(b1))), Tensor(w2))
+        return add(
+            tsum(sigmoid(linear(Tensor(x), w, Tensor(b1)))),
+            tsum(linear(gelu(linear(Tensor(x), w, Tensor(b1))), Tensor(w2))),
         )
 
     rep = grad_check(f, Tensor(rand(rng, 8, 6)))
@@ -265,7 +239,7 @@ def test_grad_check_gelu_linear_stack():
     w = Tensor(rand(rng, 5, 5))
 
     def f(x):
-        return tmean(gelu(linear(gelu(linear(x, w)), w)))
+        return tsum(gelu(linear(gelu(linear(x, w)), w)))
 
     rep = grad_check(f, Tensor(rand(rng, 4, 5)))
     assert rep.passed, str(rep)
@@ -273,19 +247,19 @@ def test_grad_check_gelu_linear_stack():
 
 
 def test_grad_check_excludes_topk_kink():
-    # |x| at 1e-9 sits on its kink: the central difference straddles 0 and
-    # disagrees with the analytic slope 1, so the second-difference filter
-    # must flag and exclude that coordinate rather than fail
-    rep = grad_check(lambda t: tsum(tabs(t)), Tensor(np.array([1e-9, 1.0, -3.0])))
+    # |x - 0| at x = 1e-9 sits on its kink: the central difference straddles
+    # 0 and disagrees with the analytic slope, so the second-difference
+    # filter must flag and exclude that coordinate rather than fail
+    rep = grad_check(lambda t: l1_distance(t, Tensor(np.zeros(3))), Tensor(np.array([1e-9, 1.0, -3.0])))
     assert rep.kink_coords == [0]
     assert rep.passed, str(rep)
 
 
 def test_grad_check_reports_wrong_gradient():
-    # passthrough(x, y) has gradient 1 toward x, but f ignores x's value,
-    # so finite differences see 2x while analytic sees x's path only
+    # f(x) = x . x, but x reaches one factor only through a leaf copy of its
+    # data, so the analytic gradient is x while finite differences see 2x
     def f(x):
-        return tsum(mul(x, stop_gradient(x)))
+        return tsum(mul(x, Tensor(x.data.copy())))
 
     rep = grad_check(f, Tensor(np.array([1.0, 2.0])))
     assert not rep.passed
@@ -295,27 +269,36 @@ def test_grad_check_reports_wrong_gradient():
 # every op's backward rule on >= 3 random shapes
 
 
+def cycle_candidates(n):
+    """Candidate rows for ``info_nce`` on n steps: each step, then the next
+    one twice, so a c row appears in several rows and twice in one."""
+    return (np.arange(n)[:, None] + np.array([0, 1, 1])) % n
+
+
 OPS = [
     ("add", lambda x, y: add(x, y), 2),
-    ("sub", lambda x, y: x - y, 2),
     ("mul", lambda x, y: mul(x, y), 2),
-    ("div", lambda x, y: x / add(mul(y, y), Tensor(np.array(0.5))), 2),
-    ("texp", lambda x: texp(x), 1),
-    ("tlog", lambda x: tlog(add(mul(x, x), Tensor(np.array(0.1)))), 1),
-    ("tsqrt", lambda x: tsqrt(add(mul(x, x), Tensor(np.array(0.1)))), 1),
+    ("div", lambda x, y: div(x, add(mul(y, y), Tensor(np.array(0.5)))), 2),
     ("tanh", lambda x: tanh(x), 1),
     ("sigmoid", lambda x: sigmoid(x), 1),
     ("gelu", lambda x: gelu(x), 1),
-    ("tmean", lambda x: tmean(x, axis=0, keepdims=True), 1),
+    ("tsum", lambda x: tsum(x, axis=0, keepdims=True), 1),
     ("linear", lambda x, y: linear(x, y), 2),
     # x reaches the weight and the bias too, so all three backward outputs are checked
     ("linear_bias", lambda x, y: linear(x, mul(x, y), x[:, 0]), 2),
     ("reshape", lambda x: reshape(x, (-1,)), 1),
     ("layer_norm", lambda x: layer_norm(x, Tensor(np.ones(x.shape[-1])), Tensor(np.zeros(x.shape[-1]))), 1),
-    ("cosine", lambda x, y: cosine_similarity(x, y), 2),
-    ("logsumexp", lambda x: logsumexp(x, axis=-1), 1),
     # x reaches both operands, so both backward outputs are checked
     ("index_add_rows", lambda x, y: index_add_rows(x, np.array([x.shape[0] - 1, 0]), mul(x[:2], y[:2])), 2),
+    ("masked_fill_rows", lambda x, y: masked_fill_rows(x, np.arange(x.shape[0]) % 2 == 0, mul(x[-1], y[0])), 2),
+    # the forwarded operand; the straight-through side has no finite-difference
+    # counterpart (test_passthrough_forwards_y_and_grads_both checks it)
+    ("passthrough", lambda x, y: passthrough(y, x), 2),
+    # y + 8 keeps every entry of x - y far from the kink at 0
+    ("l1_distance", lambda x, y: l1_distance(x, add(y, Tensor(np.full(y.shape, 8.0)))), 2),
+    ("sq_distance", lambda x, y: sq_distance(x, y.data), 2),
+    # x is both the queries and the candidates
+    ("info_nce", lambda x, y: info_nce(mul(x, y), x, cycle_candidates(x.shape[0]), 0.5), 2),
 ]
 
 
@@ -327,18 +310,133 @@ def test_op_backward_three_shapes(name, op, arity):
 
         def f(x):
             out = op(x, other) if arity == 2 else op(x)
-            return tmean(mul(out, out))
+            return tsum(mul(out, out))
 
         rep = grad_check(f, Tensor(rand(rng, *shape)))
         assert rep.passed, f"{name} {shape}: {rep}"
 
 
-def test_tabs_grad_away_from_zero():
+# ops without an OPS row, each with the test that grad_checks it
+OWN_GRAD_CHECK = {
+    "gather_rows": "test_gather_rows_forward_and_grad",
+    "conv1d": "test_conv1d_grad_check_grid",
+    "conv1d_transpose": "test_conv1d_transpose_grad_check_grid",
+    "rope_attention": "test_rope_attention_grad",
+    "stft_mag": "test_stft_mag_grad_overlapping_frames",
+}
+NOT_OPS = {"Tensor", "AutodiffError", "ShapeError", "NonFiniteError", "backward", "grad_check",
+           "GradCheckReport", "no_grad"}
+
+
+def test_every_op_has_a_grad_check():
+    ops = set(autodiff.__all__) - NOT_OPS
+    covered = {name for name, _, _ in OPS} | set(OWN_GRAD_CHECK)
+    assert ops - covered == set(), "ops without a grad_check"
+    assert set(OWN_GRAD_CHECK) <= ops
+    assert all(test in globals() for test in OWN_GRAD_CHECK.values())
+
+
+# ---------------------------------------------------------------------------
+# the loss-term ops
+
+
+def test_l1_distance_matches_numpy_composite():
     rng = np.random.default_rng(13)
+    for shape in [(7,), (3, 5), (40, 64)]:
+        a, b = rand(rng, *shape), rand(rng, *shape)
+        assert np.array_equal(l1_distance(Tensor(a), Tensor(b)).data, np.asarray(np.abs(a - b).mean())), shape
+    assert float(l1_distance(Tensor(a), Tensor(a.copy())).data) == 0.0
+
+
+def test_l1_distance_grad_away_from_ties():
+    rng = np.random.default_rng(14)
     for shape in [(5,), (3, 3), (2, 4)]:
-        x = rand(rng, *shape) + np.sign(rand(rng, *shape)) * 0.5
-        rep = grad_check(lambda t: tsum(tabs(t)), Tensor(x))
-        assert rep.passed, str(rep)
+        a = rand(rng, *shape)
+        b = a + np.sign(rand(rng, *shape)) * (0.5 + np.abs(rand(rng, *shape)))
+        grad_check_each_operand(l1_distance, (a, b), (), rng)
+
+
+def test_sq_distance_matches_numpy_composite():
+    rng = np.random.default_rng(15)
+    for shape in [(1, 3), (6, 8), (75, 16)]:
+        a, t = rand(rng, *shape), rand(rng, *shape)
+        want = np.asarray(((a - t) * (a - t)).sum(axis=-1).mean())
+        assert np.array_equal(sq_distance(Tensor(a), t).data, want), shape
+
+
+def test_stop_gradient_blocks():
+    # sq_distance's target is plain data: a tensor's data passed as the
+    # target leaves that tensor out of the graph, the stop-gradient of the
+    # commitment and alignment terms
+    x = Tensor(np.array([[3.0, 1.0]]), requires_grad=True)
+    y = Tensor(np.array([[1.0, 1.0]]), requires_grad=True)
+    backward(sq_distance(x, y.data))
+    assert np.array_equal(x.grad, np.array([[4.0, 0.0]]))
+    assert y.grad is None
+
+
+def info_nce_composite(q, c, cand, tau):
+    """The masked contrastive loss as the numpy chain the fused op replaces:
+    gather, cosine similarity with norms floored at 1e-12, divide by the
+    temperature, logsumexp, minus the positive logit, mean."""
+    qm = q[cand[:, 0]][:, None, :]
+    cc = c[cand]
+    dot = (qm * cc).sum(axis=-1)
+    na = np.sqrt((qm * qm).sum(axis=-1) + 1e-24)
+    nb = np.sqrt((cc * cc).sum(axis=-1) + 1e-24)
+    logits = dot / (na * nb) / tau
+    shift = logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(logits - shift).sum(axis=-1)) + shift[:, 0]
+    return np.asarray((lse - logits[:, 0]).mean())
+
+
+def test_info_nce_matches_numpy_composite():
+    rng = np.random.default_rng(17)
+    for t, d, k in [(4, 3, 1), (12, 8, 5), (60, 16, 30)]:
+        q, c = rand(rng, t, d), rand(rng, t, d)
+        cand = np.stack([np.concatenate([[i], rng.choice(t, size=k)]) for i in range(t)])
+        for tau in (0.1, 1e-3):
+            got = info_nce(Tensor(q), Tensor(c), cand, tau).data
+            assert np.array_equal(got, info_nce_composite(q, c, cand, tau)), (t, d, k, tau)
+
+
+def test_info_nce_large_logits_stable():
+    # at temperature 1e-3 two candidates equal to the query have logit 1000
+    # and an orthogonal one 0: the loss is log(2 + e^-1000) = log 2, where an
+    # unshifted exp would overflow
+    q = np.array([[1.0, 0.0], [0.0, 1.0]])
+    loss = float(info_nce(Tensor(q), Tensor(q), np.array([[0, 0, 1]]), 1e-3).data)
+    assert abs(loss - np.log(2.0)) < 1e-12
+
+
+def test_info_nce_grad_in_q_and_c_with_repeated_candidates():
+    rng = np.random.default_rng(18)
+    for t, d in [(2, 3), (5, 4), (8, 6)]:
+        cand = cycle_candidates(t)
+        grad_check_each_operand(info_nce, (rand(rng, t, d), rand(rng, t, d)), (), rng, cand=cand, temperature=0.3)
+
+
+def ones(*shape):
+    return Tensor(np.ones(shape))
+
+
+BAD_LOSS_CALLS = {
+    "l1 transposed": lambda: l1_distance(ones(2, 3), ones(3, 2)),
+    "l1 broadcast": lambda: l1_distance(ones(4), ones(1, 4)),
+    "sq width": lambda: sq_distance(ones(2, 3), np.ones((2, 4))),
+    "sq 1-D": lambda: sq_distance(ones(3), np.ones(3)),
+    "nce width": lambda: info_nce(ones(4, 3), ones(4, 2), np.zeros((2, 2), dtype=int), 0.1),
+    "nce 1-D cand": lambda: info_nce(ones(4, 3), ones(4, 3), np.zeros(4, dtype=int), 0.1),
+    "nce no rows": lambda: info_nce(ones(4, 3), ones(4, 3), np.zeros((0, 2), dtype=int), 0.1),
+    "nce past end": lambda: info_nce(ones(4, 3), ones(4, 3), np.array([[0, 4]]), 0.1),
+    "nce negative": lambda: info_nce(ones(4, 3), ones(4, 3), np.array([[0, -1]]), 0.1),
+}
+
+
+@pytest.mark.parametrize("case", BAD_LOSS_CALLS)
+def test_loss_ops_reject_bad_shapes(case):
+    with pytest.raises(ShapeError):
+        BAD_LOSS_CALLS[case]()
 
 
 def test_tsum_axis_variants():
@@ -353,7 +451,7 @@ def test_broadcast_add_mul_grads():
     row = Tensor(rand(rng, 1, 6))
 
     def f(x):
-        return tmean(mul(add(x, row), row))
+        return tsum(mul(add(x, row), row))
 
     rep = grad_check(f, Tensor(rand(rng, 4, 6)))
     assert rep.passed, str(rep)
@@ -384,7 +482,7 @@ def test_gather_rows_forward_and_grad():
     idx = np.array([2, 0, 2, 1])
 
     def f(x):
-        return tmean(mul(gather_rows(x, idx), gather_rows(x, idx)))
+        return tsum(mul(gather_rows(x, idx), gather_rows(x, idx)))
 
     rep = grad_check(f, Tensor(rand(rng, 3, 4)))
     assert rep.passed, str(rep)
@@ -402,6 +500,17 @@ def test_getitem_slice_grad():
 
     rep = grad_check(f, Tensor(rand(rng, 8, 3)))
     assert rep.passed, str(rep)
+
+
+def test_getitem_repeated_indices_add_their_grads():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    backward(tsum(x[np.array([0, 0, 2])]))
+    assert np.array_equal(x.grad, np.array([2.0, 0.0, 1.0]))
+    rng = np.random.default_rng(28)
+    for key in [np.array([0, 0, 2]), (np.array([1, 1, 0]), slice(None)), (slice(1, None), [0, 0]),
+                np.array([True, False, True, True])]:
+        rep = grad_check(lambda t, key=key: tsum(mul(t[key], t[key])), Tensor(rand(rng, 4, 3)))
+        assert rep.passed, f"{key}: {rep}"
 
 
 def test_masked_fill_rows_values_and_grads():
@@ -434,12 +543,6 @@ def test_index_add_rows_values_and_errors():
         index_add_rows(Tensor(xv), np.array([0, 1, 2]), Tensor(rv))
 
 
-def test_stop_gradient_blocks():
-    x = Tensor(np.array([3.0]), requires_grad=True)
-    backward(tsum(mul(x, stop_gradient(x))))
-    assert np.allclose(x.grad, x.data)  # only the live path contributes
-
-
 def test_passthrough_forwards_y_and_grads_both():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     y = Tensor(np.array([10.0, 20.0]), requires_grad=True)
@@ -455,7 +558,7 @@ def test_conv1d_grad_x_and_w():
     w = Tensor(rand(rng, 3, 2, 4))
 
     def fx(x):
-        return tmean(mul(conv1d(x, w, stride=2, padding=(1, 1)), Tensor(np.array(1.5))))
+        return tsum(mul(conv1d(x, w, stride=2, padding=(1, 1)), Tensor(np.array(1.5))))
 
     rep = grad_check(fx, Tensor(rand(rng, 10, 2)))
     assert rep.passed, str(rep)
@@ -464,7 +567,7 @@ def test_conv1d_grad_x_and_w():
 
     def fw(wt):
         out = conv1d(x, wt, Tensor(np.zeros(3)), stride=2, padding=(1, 1))
-        return tmean(mul(out, out))
+        return tsum(mul(out, out))
 
     rep = grad_check(fw, Tensor(rand(rng, 3, 2, 4)))
     assert rep.passed, str(rep)
@@ -476,7 +579,7 @@ def test_conv1d_transpose_grad_x_and_w():
 
     def fx(x):
         out = conv1d_transpose(x, w, stride=2)
-        return tmean(mul(out, out))
+        return tsum(mul(out, out))
 
     rep = grad_check(fx, Tensor(rand(rng, 6, 2)))
     assert rep.passed, str(rep)
@@ -485,7 +588,7 @@ def test_conv1d_transpose_grad_x_and_w():
 
     def fw(wt):
         out = conv1d_transpose(x, wt, Tensor(np.zeros(3)), stride=2)
-        return tmean(mul(out, out))
+        return tsum(mul(out, out))
 
     rep = grad_check(fw, Tensor(rand(rng, 2, 3, 4)))
     assert rep.passed, str(rep)
@@ -709,12 +812,10 @@ def test_stft_mag_rejects_short_or_2d_input():
 
 
 def test_nonfinite_forward_raises():
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        mul(Tensor(np.array([1e200])), Tensor(np.array([1e200])))
     with pytest.raises(NonFiniteError):
-        tlog(Tensor(np.array([-1.0])))
-    with pytest.raises(NonFiniteError):
-        texp(Tensor(np.array([1000.0])))
-    with pytest.raises(NonFiniteError):
-        Tensor(np.array([1.0])) / Tensor(np.array([0.0]))
+        div(Tensor(np.array([1.0])), Tensor(np.array([0.0])))
 
 
 def test_fused_ops_raise_on_overflow_a_finite_output_would_hide():
@@ -787,7 +888,7 @@ def test_no_grad_results_have_no_graph():
     forward = small_graph()
     with no_grad():
         out = forward()
-        loss = tmean(out)
+        loss = tsum(out)
     for t in (out, loss):
         assert not t.requires_grad
         assert t._parents == () and t._backward is None

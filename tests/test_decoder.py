@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tricodec.autodiff import ShapeError, Tensor, grad_check, mul, tmean
+from tricodec.autodiff import ShapeError, Tensor, grad_check, mul, tsum
 from tricodec.decoder import DecoderConfig, decode, init_decoder_params
 
 CFG = DecoderConfig(channels=(16, 16, 8, 8, 4))
@@ -52,7 +52,7 @@ def test_decode_grad_check():
 
     def f(q):
         out = decode(q, params, (2, 2))
-        return tmean(mul(out, out))
+        return tsum(mul(out, out))
 
     rep = grad_check(f, Tensor(rng.standard_normal((3, 8))))
     assert rep.passed, str(rep)
@@ -64,7 +64,7 @@ def test_decode_weight_grads_flow():
     rng = np.random.default_rng(3)
     params = make_params()
     out = decode(Tensor(rng.standard_normal((2, 16))), params, STRIDES)
-    backward(tmean(mul(out, out)))
+    backward(tsum(mul(out, out)))
     for name, p in params.items():
         assert p.grad is not None, name
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tricodec import encoder
-from tricodec.autodiff import Tensor, add, backward, gelu, grad_check, layer_norm, linear, mul, tmean, tsum
+from tricodec.autodiff import Tensor, add, backward, gelu, grad_check, layer_norm, linear, mul, tsum
 from tricodec.encoder import (
     EncoderConfig,
     MoEConfig,
@@ -319,7 +319,7 @@ def test_encoder_block_grad_check():
 
     def f(x):
         out = transformer_encode(x, params, CFG)
-        return tmean(mul(out, out))
+        return tsum(mul(out, out))
 
     rep = grad_check(f, Tensor(rng.standard_normal((5, CFG.hidden))))
     assert rep.passed, str(rep)
@@ -380,7 +380,7 @@ def test_mask_grad_reaches_embedding():
     x = rng.standard_normal(1280)
     mask = np.array([True, False, True, False])
     frames, _ = encode_frames(x, params, CFG, mask=mask)
-    backward(tmean(mul(frames, frames)))
+    backward(tsum(mul(frames, frames)))
     assert params["enc.mask_embed"].grad is not None
     assert np.any(params["enc.mask_embed"].grad != 0)
 
