@@ -3,9 +3,10 @@
 Provides exactly the operators the codec graph needs: 1-D convolutions,
 arithmetic (``add``, ``mul``, ``div``), the pointwise nonlinearities
 ``tanh``, ``sigmoid`` and ``gelu``, the reduction ``tsum``, ``reshape``,
-row gathers and indexing, ``masked_fill_rows``, ``index_add_rows`` (which
-adds a row block into given distinct rows: the scatter of the MoE's sparse
-expert dispatch), and a straight-through passthrough for the quantizer.
+indexing (``Tensor.__getitem__``, which also gathers rows by an index
+array), ``masked_fill_rows``, ``index_add_rows`` (which adds a row block
+into given distinct rows: the scatter of the MoE's sparse expert
+dispatch), and a straight-through passthrough for the quantizer.
 The dense layer ``linear`` (x @ w.T + b: the expert FFNs, the router, the
 codebook projection and the mel filterbank), layer norm, rotary-position
 attention and the Hann-windowed STFT magnitude of the mel loss
@@ -57,7 +58,6 @@ __all__ = [
     "gelu",
     "tsum",
     "reshape",
-    "gather_rows",
     "masked_fill_rows",
     "index_add_rows",
     "linear",
@@ -284,8 +284,16 @@ def gelu(a: Tensor) -> Tensor:
     data = x * cdf
 
     def bwd(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return (g * (cdf + x * pdf),)
+        # g * (cdf + x * pdf(x)), built in one buffer in the order of the
+        # plain expression, so the result is the same to the bit
+        d = np.asarray(np.multiply(x, -0.5))  # an array also for 0-d x, so out= can take it
+        d *= x
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= x
+        d += cdf
+        d *= g
+        return (d,)
 
     return _make(data, (a,), bwd, "gelu")
 
@@ -334,19 +342,6 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
     return _make(data, (a,), lambda g: (g.reshape(a.shape),), "reshape")
-
-
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows of ``a`` along axis 0; ``idx`` may be any integer array."""
-    idx = np.asarray(idx)
-    data = a.data[idx]
-
-    def bwd(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
-
-    return _make(data, (a,), bwd, "gather_rows")
 
 
 def _getitem(a: Tensor, key) -> Tensor:
@@ -444,9 +439,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 # Both ops cut the time axis into blocks of ``stride`` steps: a contiguous
 # (T, C) array reshaped, without a copy, to (T / stride, stride * C). Kernel
 # tap j = q * stride + r then sits at block offset q, lane r, so a K-tap
-# kernel is ceil(K / stride) weight blocks (taps past K are zero), and each
-# block is one BLAS GEMM against a shifted row slice of the blocked array.
-# No (T, K, C) window array is built; at stride 1 the blocks are the taps.
+# kernel is ceil(K / stride) weight blocks (taps past K are zero); at stride
+# 1 the blocks are the taps. A sum over blocks that reads the wide, blocked
+# array (``_shift_sum``, ``_shift_outer``) is one BLAS GEMM per block against
+# a shifted row slice of it, so no (T, K, C) window array is built. A sum
+# that writes the wide array (``_shift_add``) is one GEMM on the narrow
+# operand stacked at its shifts, so the wide result is written once.
 
 
 def _pad_pair(padding) -> tuple:
@@ -465,12 +463,23 @@ def _shift_sum(blocks: np.ndarray, mats: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _shift_add(blocks: np.ndarray, y: np.ndarray, mats: np.ndarray) -> None:
-    """blocks[q : q + len(y)] += y @ mats[q] for every q (adjoint of ``_shift_sum``)."""
-    tmp = None
-    for q in range(len(mats)):
-        tmp = np.matmul(y, mats[q], out=tmp)
-        blocks[q : q + y.shape[0]] += tmp
+def _shift_add(y: np.ndarray, mats: np.ndarray, rows: int) -> np.ndarray:
+    """The (rows, W) array whose row r is the sum over q of y[r - q] @ mats[q]
+    (rows of y outside [0, len(y)) count as zero): the adjoint of
+    ``_shift_sum``. ``rows`` is at least len(y) + len(mats) - 1. One GEMM of
+    the (rows, nb * C_y) stack of y at its nb shifts against the stacked
+    mats; a product plus an add per block would stream the wide output
+    through memory nb times."""
+    n, c = y.shape
+    nb = len(mats)
+    stack = np.empty((rows, nb, c), dtype=np.result_type(y, mats))
+    # only these rows hold a shift that y does not cover; zeroing just them
+    # saves a pass over the whole stack
+    stack[: nb - 1] = 0
+    stack[n:] = 0
+    for q in range(nb):
+        stack[q : q + n, q] = y
+    return stack.reshape(rows, nb * c) @ mats.reshape(nb * c, mats.shape[2])
 
 
 def _shift_outer(blocks: np.ndarray, y: np.ndarray, nb: int) -> np.ndarray:
@@ -519,8 +528,7 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
 
     def bwd(g):
         gw = _shift_outer(xb, g, nb).reshape(nb * stride, c_in, c_out)[:k].transpose(2, 1, 0)
-        gxb = np.zeros_like(xb)
-        _shift_add(gxb, g, wb.transpose(0, 2, 1))
+        gxb = _shift_add(g, wb.transpose(0, 2, 1), rows)
         gx = gxb.reshape(rows * stride, c_in)[pl : pl + t]
         if b is not None:
             return gx, gw, g.sum(axis=0)
@@ -534,9 +542,10 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: i
     """Transposed 1-D convolution (full output, no cropping).
 
     x: (T, C_in), w: (C_in, C_out, K), output ((T-1)*stride + K, C_out)
-    with out[stride * t + j] += x[t] @ w[:, :, j], plus b. That is
-    ceil(K / stride) GEMMs, each added into a shifted row slice of the
-    output in blocks of ``stride`` steps: the adjoint of ``conv1d``.
+    with out[stride * t + j] += x[t] @ w[:, :, j], plus b: the adjoint of
+    ``conv1d``. In blocks of ``stride`` output steps that is one GEMM of x,
+    stacked at its ceil(K / stride) block shifts, against the stacked
+    weight blocks.
     """
     if stride < 1:
         raise ShapeError(f"conv1d_transpose: stride must be >= 1, got {stride}")
@@ -555,9 +564,7 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: i
     wp = np.zeros((nb * stride, c_in, c_out), dtype=w.dtype)
     wp[:k] = w.data.transpose(2, 0, 1)
     wb = wp.reshape(nb, stride, c_in, c_out).transpose(0, 2, 1, 3).reshape(nb, c_in, stride * c_out)
-    ob = np.zeros((rows, stride * c_out), dtype=np.result_type(x.data, w.data))
-    _shift_add(ob, x.data, wb)
-    data = ob.reshape(rows * stride, c_out)[:t_out]
+    data = _shift_add(x.data, wb, rows).reshape(rows * stride, c_out)[:t_out]
     if b is not None:
         data = data + b.data
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows, linear, mul, no_grad, passthrough, sq_distance
+from .autodiff import Tensor, linear, mul, no_grad, passthrough, sq_distance
 from .signal import SAMPLE_RATE, Domain
 
 __all__ = [
@@ -152,7 +152,7 @@ def simvq_embed(ids, params: dict) -> Tensor:
             f"codebook id out of range [0, {params['vq.base'].shape[0]}): "
             f"min {ids.min()}, max {ids.max()}"
         )
-    return linear(gather_rows(params["vq.base"], ids), params["vq.proj"])
+    return linear(params["vq.base"][ids], params["vq.proj"])
 
 
 def _nearest(f: np.ndarray, book: np.ndarray, sq: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from tricodec.autodiff import (
     conv1d,
     conv1d_transpose,
     div,
-    gather_rows,
     index_add_rows,
     info_nce,
     gelu,
@@ -82,6 +81,25 @@ def test_gelu_float64_is_the_scipy_erf_form():
     cdf += 1.0
     cdf *= 0.5
     assert np.array_equal(gelu(Tensor(x)).data, x * cdf)
+
+
+def test_gelu_backward_is_the_plain_expression_to_the_bit():
+    from scipy.special import erf
+
+    rng = np.random.default_rng(5)
+    x, g = rng.normal(0.0, 3.0, (64, 33)), rng.standard_normal((64, 33))
+    cdf = erf(x * (1.0 / np.sqrt(2.0)))
+    cdf += 1.0
+    cdf *= 0.5
+    want = g * (cdf + x * (autodiff._INV_SQRT2PI * np.exp(-0.5 * x * x)))
+    xt = Tensor(x, requires_grad=True)
+    backward(tsum(mul(gelu(xt), Tensor(g))))
+    assert np.array_equal(xt.grad, want)
+    # a 0-d input: the slope of x Phi(x) at 0.7 is Phi(0.7) + 0.7 pdf(0.7)
+    x0 = Tensor(np.array(0.7), requires_grad=True)
+    backward(gelu(x0))
+    want0 = 0.5 * (1.0 + erf(0.7 / np.sqrt(2.0))) + 0.7 * np.exp(-0.245) / np.sqrt(2.0 * np.pi)
+    assert x0.grad.shape == () and abs(float(x0.grad) - want0) < 1e-15
 
 
 def test_conv1d_kernel_one_identity():
@@ -318,7 +336,6 @@ def test_op_backward_three_shapes(name, op, arity):
 
 # ops without an OPS row, each with the test that grad_checks it
 OWN_GRAD_CHECK = {
-    "gather_rows": "test_gather_rows_forward_and_grad",
     "conv1d": "test_conv1d_grad_check_grid",
     "conv1d_transpose": "test_conv1d_transpose_grad_check_grid",
     "rope_attention": "test_rope_attention_grad",
@@ -477,21 +494,6 @@ def test_linear_shape_error_lists_both_shapes(x_shape, w_shape, b_shape):
     assert all(str(s) in str(e.value) for s in named), str(e.value)
 
 
-def test_gather_rows_forward_and_grad():
-    rng = np.random.default_rng(17)
-    idx = np.array([2, 0, 2, 1])
-
-    def f(x):
-        return tsum(mul(gather_rows(x, idx), gather_rows(x, idx)))
-
-    rep = grad_check(f, Tensor(rand(rng, 3, 4)))
-    assert rep.passed, str(rep)
-    x = Tensor(rand(rng, 3, 4), requires_grad=True)
-    backward(tsum(gather_rows(x, idx)))
-    # row 2 picked twice, rows 0 and 1 once
-    assert np.allclose(x.grad, np.array([1.0, 1.0, 2.0])[:, None] * np.ones((3, 4)))
-
-
 def test_getitem_slice_grad():
     rng = np.random.default_rng(18)
 
@@ -647,6 +649,56 @@ def test_conv1d_transpose_matches_per_tap_reference(s):
         want = conv1d_transpose_reference(x, w, b, s)
         assert got.shape == want.shape, (s, k, t)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (s, k, t)
+
+
+def conv1d_input_grad_reference(g, w, stride, pad, t):
+    """conv1d's gradient in x, tap by tap: output row i sends g[i] @ w[:, :, j]
+    to padded input row stride * i + j."""
+    gxp = np.zeros((t + pad[0] + pad[1], w.shape[1]))
+    span = stride * (g.shape[0] - 1) + 1
+    for j in range(w.shape[2]):
+        gxp[j : j + span : stride] += g @ w[:, :, j]
+    return gxp[pad[0] : pad[0] + t]
+
+
+def conv1d_transpose_input_grad_reference(g, w, stride, t):
+    """conv1d_transpose's gradient in x, tap by tap: input row i reads
+    g[stride * i + j] @ w[:, :, j].T."""
+    gx = np.zeros((t, w.shape[0]))
+    span = stride * (t - 1) + 1
+    for j in range(w.shape[2]):
+        gx += g[j : j + span : stride] @ w[:, :, j].T
+    return gx
+
+
+def close_rel(got, want, rel=1e-12):
+    return got.shape == want.shape and np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def test_conv_ops_at_the_decoders_24khz_shapes():
+    # the decoder's output conv (1 <- 8 channels, K = 7, same padding) and the
+    # transposed conv before it (8 channels, K = 4, 2x up), at the long time
+    # axis where their input gradient and forward write a wide array once
+    rng = np.random.default_rng(90)
+    cases = [
+        (conv1d, (2400, 8), (1, 8, 7), dict(stride=1, padding=(3, 3)),
+         lambda x, w, b: conv1d_reference(x, w, b, 1, (3, 3)),
+         lambda g, w, t: conv1d_input_grad_reference(g, w, 1, (3, 3), t)),
+        (conv1d_transpose, (1200, 8), (8, 8, 4), dict(stride=2),
+         lambda x, w, b: conv1d_transpose_reference(x, w, b, 2),
+         lambda g, w, t: conv1d_transpose_input_grad_reference(g, w, 2, t)),
+    ]
+    for op, x_shape, w_shape, kw, value_ref, grad_ref in cases:
+        x, w = rand(rng, *x_shape), rand(rng, *w_shape)
+        b = rand(rng, w_shape[0] if op is conv1d else w_shape[1])
+        xt = Tensor(x, requires_grad=True)
+        out = op(xt, Tensor(w), Tensor(b), **kw)
+        assert close_rel(out.data, value_ref(x, w, b)), op.__name__
+        g = rand(rng, *out.shape)
+        backward(tsum(mul(out, Tensor(g))))
+        assert close_rel(xt.grad, grad_ref(g, w, x_shape[0])), op.__name__
+        f32 = op(*(Tensor(a.astype(np.float32)) for a in (x, w, b)), **kw).data
+        assert f32.dtype == np.float32 and f32.shape == out.shape, op.__name__
 
 
 def grad_check_each_operand(op, args, out_shape, rng, **kw):
