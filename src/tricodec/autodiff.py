@@ -1,14 +1,17 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-Provides exactly the operators the codec graph needs: 1-D convolutions,
-arithmetic (``add``, ``mul``, ``div``), the pointwise nonlinearities
-``tanh``, ``sigmoid`` and ``gelu``, the reduction ``tsum``, ``reshape``,
+Provides exactly the operators the codec graph needs: 1-D convolutions
+(``conv1d`` and its adjoint ``conv1d_transpose``, which crops its output
+by the same ``padding``), arithmetic (``add``, ``mul``), the pointwise
+nonlinearities ``tanh`` and ``gelu``, the reduction ``tsum`` (the tests'
+scalar read-out), ``reshape``,
 indexing (``Tensor.__getitem__``, which also gathers rows by an index
 array), ``masked_fill_rows``, ``index_add_rows`` (which adds a row block
 into given distinct rows: the scatter of the MoE's sparse expert
 dispatch), and a straight-through passthrough for the quantizer.
 The dense layer ``linear`` (x @ w.T + b: the expert FFNs, the router, the
-codebook projection and the mel filterbank), layer norm, rotary-position
+codebook projection and the mel filterbank), the MoE router's top-k
+sigmoid gate (``topk_gate``), layer norm, rotary-position
 attention and the Hann-windowed STFT magnitude of the mel loss
 (``stft_mag``) are single ops with closed-form backward passes, and so is
 each loss term: ``l1_distance`` (the time and mel reconstruction terms),
@@ -52,15 +55,14 @@ __all__ = [
     "no_grad",
     "add",
     "mul",
-    "div",
     "tanh",
-    "sigmoid",
     "gelu",
     "tsum",
     "reshape",
     "masked_fill_rows",
     "index_add_rows",
     "linear",
+    "topk_gate",
     "layer_norm",
     "conv1d",
     "conv1d_transpose",
@@ -216,31 +218,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bwd, "mul")
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            data = a.data / b.data
-    except ValueError:
-        raise ShapeError(f"div: incompatible shapes {a.shape} vs {b.shape}") from None
-
-    def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _make(data, (a, b), bwd, "div")
-
-
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
     return _make(data, (a,), lambda g: (g * (1.0 - data * data),), "tanh")
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # exp(-|x|) never overflows; both branches share it
-    e = np.exp(-np.abs(a.data))
-    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return _make(data, (a,), lambda g: (g * data * (1.0 - data),), "sigmoid")
 
 
 def _phi_float32(x: np.ndarray) -> np.ndarray:
@@ -337,6 +317,46 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         return gx, gw, gb  # backward pairs these with the parents, so gb drops without a bias
 
     return _make(data, (x, w) if b is None else (x, w, b), bwd, "linear")
+
+
+def topk_gate(u: Tensor, centroids: Tensor, k: int) -> Tensor:
+    """The MoE router's gates as one op: ``u`` is (T, D), ``centroids``
+    (N, D) and the result (T, N). Each row's affinities s = sigmoid(u @
+    centroids.T) keep their k largest (ties go to the lowest index),
+    divided by their sum S; the rest of the row is exactly zero. A row
+    whose kept affinities all underflow to 0 (logits below about -745)
+    gives 0 / 0, which raises ``NonFiniteError``.
+
+    Backward: a kept affinity gets ds = (g - sum_j g_j gate_j) / S and its
+    logit da = ds s (1 - s), which gives da @ centroids to ``u`` and
+    da.T @ u to ``centroids``, each only for an operand that requires grad.
+    At k = 1 every kept gate is s / s = 1, so ds and both gradients are
+    exactly zero and the router does not learn (ROADMAP item 3).
+    """
+    if u.ndim != 2 or centroids.ndim != 2 or u.shape[1] != centroids.shape[1]:
+        raise ShapeError(f"topk_gate: input {u.shape} vs centroids {centroids.shape}")
+    if not 1 <= k <= centroids.shape[0]:
+        raise ShapeError(f"topk_gate: k = {k} outside [1, {centroids.shape[0]}] for centroids {centroids.shape}")
+    a = u.data @ centroids.data.T
+    _check_finite(a, "topk_gate")  # the sigmoid would map an overflowed logit to a finite gate
+    # exp(-|a|) never overflows; both branches share it
+    e = np.exp(-np.abs(a))
+    s = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    keep = np.zeros_like(s)
+    np.put_along_axis(keep, np.argsort(-s, axis=1, kind="stable")[:, :k], 1.0, axis=1)
+    kept = s * keep
+    total = kept.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # _make reports an underflowed row
+        data = kept / total
+
+    def bwd(g):
+        ds = keep * (g - (g * data).sum(axis=1, keepdims=True)) / total
+        da = ds * s * (1.0 - s)
+        gu = da @ centroids.data if u.requires_grad else None
+        gc = da.T @ u.data if centroids.requires_grad else None
+        return gu, gc
+
+    return _make(data, (u, centroids), bwd, "topk_gate")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -538,12 +558,14 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
     return _make(data, parents, bwd, "conv1d")
 
 
-def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) -> Tensor:
-    """Transposed 1-D convolution (full output, no cropping).
+def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, padding=0) -> Tensor:
+    """Transposed 1-D convolution: the adjoint of ``conv1d`` with the same
+    stride and padding.
 
-    x: (T, C_in), w: (C_in, C_out, K), output ((T-1)*stride + K, C_out)
-    with out[stride * t + j] += x[t] @ w[:, :, j], plus b: the adjoint of
-    ``conv1d``. In blocks of ``stride`` output steps that is one GEMM of x,
+    x: (T, C_in), w: (C_in, C_out, K). The full output ((T-1)*stride + K,
+    C_out) has out[stride * t + j] += x[t] @ w[:, :, j]; ``padding``
+    (pad_l, pad_r) crops that many steps off each end, then b is added.
+    In blocks of ``stride`` output steps the full output is one GEMM of x,
     stacked at its ceil(K / stride) block shifts, against the stacked
     weight blocks.
     """
@@ -556,21 +578,25 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: i
     c_in, c_out, k = w.shape
     if x.shape[1] != c_in:
         raise ShapeError(f"conv1d_transpose: channel mismatch, {x.shape} vs {w.shape}")
+    pl, pr = _pad_pair(padding)
     t = x.shape[0]
-    t_out = (t - 1) * stride + k
+    t_full = (t - 1) * stride + k
+    if pl < 0 or pr < 0 or pl + pr >= t_full:
+        raise ShapeError(f"conv1d_transpose: padding {(pl, pr)} must be >= 0 and leave some of {t_full} output steps")
+    t_out = t_full - pl - pr
 
     nb = -(-k // stride)
     rows = t - 1 + nb
     wp = np.zeros((nb * stride, c_in, c_out), dtype=w.dtype)
     wp[:k] = w.data.transpose(2, 0, 1)
     wb = wp.reshape(nb, stride, c_in, c_out).transpose(0, 2, 1, 3).reshape(nb, c_in, stride * c_out)
-    data = _shift_add(x.data, wb, rows).reshape(rows * stride, c_out)[:t_out]
+    data = _shift_add(x.data, wb, rows).reshape(rows * stride, c_out)[pl : pl + t_out]
     if b is not None:
         data = data + b.data
 
     def bwd(g):
         gb = np.zeros((rows * stride, c_out), dtype=g.dtype)
-        gb[:t_out] = g
+        gb[pl : pl + t_out] = g
         gb = gb.reshape(rows, stride * c_out)
         gx = _shift_sum(gb, wb.transpose(0, 2, 1), t)
         gw = _shift_outer(gb, x.data, nb).reshape(nb, stride, c_out, c_in)

@@ -51,9 +51,10 @@ def init_decoder_params(cfg: DecoderConfig, hidden: int, strides: tuple, rng: np
 def decode(quantized: Tensor, params: dict, strides: tuple) -> Tensor:
     """Quantized frames (T, hidden) to waveform (T * 320,), values in (-1, 1).
 
-    Each transposed stage (kernel 2*stride) overshoots by one stride and is
-    cropped symmetrically, mirroring the encoder's padding, so the length
-    law |decode(q)| = prod(strides) * T holds exactly for every T >= 1.
+    Each transposed stage (kernel 2*stride) is one ``conv1d_transpose`` node
+    that crops the encoder's padding (stride // 2, stride - stride // 2) off
+    its one-stride overshoot, so the length law |decode(q)| =
+    prod(strides) * T holds exactly for every T >= 1.
     """
     if quantized.ndim != 2:
         raise ShapeError(f"decode expects (frames, hidden), got shape {quantized.shape}")
@@ -65,10 +66,8 @@ def decode(quantized: Tensor, params: dict, strides: tuple) -> Tensor:
 
     x = quantized
     for i, stride in enumerate(strides):
-        x = conv1d_transpose(x, params[f"dec.tconv{i}.w"], params[f"dec.tconv{i}.b"], stride=stride)
-        lo = stride // 2
-        x = x[lo : lo + x.shape[0] - stride]  # (T+1)*s -> T*s
-        x = gelu(x)
+        pad = (stride // 2, stride - stride // 2)
+        x = gelu(conv1d_transpose(x, params[f"dec.tconv{i}.w"], params[f"dec.tconv{i}.b"], stride=stride, padding=pad))
     half = OUT_KERNEL // 2
     x = conv1d(x, params["dec.out.w"], params["dec.out.b"], stride=1, padding=(half, half))
     return reshape(tanh(x), (x.shape[0],))

@@ -1,7 +1,7 @@
 """Waveform encoder: strided convolutions down to 75 frames/second, then a
 pre-norm transformer whose feed-forward sublayers are a domain
-mixture-of-experts (one always-on shared expert plus sigmoid-routed experts
-with top-k gating).
+mixture-of-experts (one always-on shared expert plus routed experts under a
+sigmoid top-k gate, the one graph node ``autodiff.topk_gate``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .autodiff import (
     Tensor,
     add,
     conv1d,
-    div,
     gelu,
     index_add_rows,
     layer_norm,
@@ -25,8 +24,7 @@ from .autodiff import (
     mul,
     reshape,
     rope_attention,
-    sigmoid,
-    tsum,
+    topk_gate,
 )
 
 __all__ = [
@@ -162,23 +160,19 @@ def conv_encode(samples, params: dict, cfg: EncoderConfig) -> Tensor:
 
 
 def moe_gate(u, centroids: Tensor, k_routed: int) -> Tensor:
-    """Routed-expert gates from sigmoid token-to-expert affinities.
+    """Routed-expert gates from sigmoid token-to-expert affinities, one
+    ``topk_gate`` node.
 
     Affinity s_i = sigmoid(u . e_i); the top k_routed affinities (ties
     broken toward the lowest expert index) are kept and renormalized to
-    sum to 1, the rest are exactly zero. Sigmoid positivity guarantees a
-    nonzero normalizer. Output matches u's leading shape: (n_routed,) for
-    a single vector, (T, n_routed) for a sequence.
+    sum to 1, the rest are exactly zero. At k_routed = 1 the kept gate is
+    exactly 1, so neither u nor the centroids get any gradient through it.
+    Output matches u's leading shape: (n_routed,) for a single vector,
+    (T, n_routed) for a sequence.
     """
     single = u.ndim == 1
     ut = reshape(u, (1, u.shape[0])) if single else u
-    s = sigmoid(linear(ut, centroids))                       # (T, N_r)
-    order = np.argsort(-s.data, axis=1, kind="stable")       # stable sort -> lowest index on ties
-    sel = order[:, :k_routed]
-    keep = np.zeros_like(s.data)
-    np.put_along_axis(keep, sel, 1.0, axis=1)
-    kept = mul(s, Tensor(keep))
-    gates = div(kept, tsum(kept, axis=1, keepdims=True))
+    gates = topk_gate(ut, centroids, k_routed)
     return reshape(gates, (gates.shape[1],)) if single else gates
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import quantizer
 from .autodiff import Tensor, no_grad
-from .decoder import OUT_KERNEL, DecoderConfig, decode, decoder_param_shapes, init_decoder_params
+from .decoder import DecoderConfig, decode, decoder_param_shapes, init_decoder_params
 from .encoder import EncoderConfig, MoEConfig, encode_frames, encoder_param_shapes, init_encoder_params
 from .quantizer import (
     QuantizerConfig,
@@ -27,14 +27,6 @@ from .quantizer import (
 from .signal import SAMPLE_RATE, AudioClip, Domain
 
 __all__ = ["CodecConfig", "ForwardPass", "Codec"]
-
-# encoder and quantizer config keys of removed options, ignored on load
-_REMOVED_KEYS = ("mlp_dim", "base_mean", "base_std")
-
-# (section, key) of older config keys for values now set once, dropped on load
-_DUPLICATE_KEYS = (("encoder", "hidden"), ("quantizer", "hidden"), ("decoder", "hidden"),
-                   ("decoder", "strides"), ("decoder", "out_kernel"))
-
 
 @dataclass(frozen=True)
 class CodecConfig:
@@ -101,24 +93,14 @@ class CodecConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodecConfig":
-        """Inverse of ``to_dict``. Older checkpoints' keys of removed options
-        are dropped, and so are their keys of values now set once
-        (``_DUPLICATE_KEYS``), each of which must equal the value that owns it;
-        an older config's ``sample_rate`` must be the codec rate."""
+        """Inverse of ``to_dict``. A key that names no field raises
+        ``TypeError``: so do an older config's keys of removed options
+        (``mlp_dim``, ``base_mean``, ``base_std``, ``sample_rate``) and its
+        copies of the latent width, the strides and the output kernel."""
         d = dict(d)
-        rate = d.pop("sample_rate", SAMPLE_RATE)
-        if rate != SAMPLE_RATE:
-            raise ValueError(f"sample_rate {rate} is not the codec rate {SAMPLE_RATE}")
-        sections = {
-            name: {k: tuple(v) if isinstance(v, list) else v for k, v in d.pop(name).items() if k not in _REMOVED_KEYS}
-            for name in ("encoder", "quantizer", "decoder")
-        }
-        old = {(name, key): sections[name].pop(key) for name, key in _DUPLICATE_KEYS if key in sections[name]}
+        sections = {name: {k: tuple(v) if isinstance(v, list) else v for k, v in d.pop(name).items()}
+                    for name in ("encoder", "quantizer", "decoder")}
         encoder = EncoderConfig(**{**sections["encoder"], "moe": MoEConfig(**sections["encoder"]["moe"])})
-        owner = {"hidden": encoder.hidden, "strides": encoder.strides, "out_kernel": OUT_KERNEL}
-        for (name, key), value in old.items():
-            if value != owner[key]:
-                raise ValueError(f"{name}.{key} {value} disagrees with the model's {key} {owner[key]}")
         return cls(encoder, QuantizerConfig(**sections["quantizer"]), DecoderConfig(**sections["decoder"]), **d)
 
 

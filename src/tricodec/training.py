@@ -238,6 +238,16 @@ def _save_state(
     ckpt.save_tensors(path, arrays)
 
 
+def _resume_tensor(arrays: dict, name: str, shape: tuple, path) -> np.ndarray:
+    """The tensor ``name`` that a mid-stage resume reads from the checkpoint
+    at ``path``, which must hold it in ``shape``."""
+    if name not in arrays:
+        raise ckpt.CheckpointError(f"{path}: mid-stage checkpoint lacks tensor '{name}'")
+    if arrays[name].shape != shape:
+        raise ckpt.CheckpointError(f"{path}: tensor '{name}' has shape {arrays[name].shape}, expected {shape}")
+    return arrays[name]
+
+
 def _capped(clip: AudioClip) -> np.ndarray:
     """The clip's first ``MAX_CLIP_SECONDS``; ``Codec.forward`` cuts them to whole frames."""
     return clip.samples[: int(MAX_CLIP_SECONDS * clip.sample_rate)]
@@ -395,11 +405,11 @@ def train_stage(
         if in_progress == cfg.stage.value and saved_step < cfg.steps:
             # mid-stage resume: restore optimizer moments and RNG exactly
             opt = AdamW(codec.trainable())
-            for name in opt.params:
-                opt.m[name] = arrays[f"adam_m/{name}"].copy()
-                opt.v[name] = arrays[f"adam_v/{name}"].copy()
-            opt.t = int(arrays["meta/adam_t"])
-            rng = _rng_from_u64(arrays["meta/rng_state"])
+            for name, param in opt.params.items():
+                opt.m[name] = _resume_tensor(arrays, f"adam_m/{name}", param.shape, init_from).copy()
+                opt.v[name] = _resume_tensor(arrays, f"adam_v/{name}", param.shape, init_from).copy()
+            opt.t = int(_resume_tensor(arrays, "meta/adam_t", (), init_from))
+            rng = _rng_from_u64(_resume_tensor(arrays, "meta/rng_state", (6,), init_from))
             start_step = saved_step
     else:
         if cfg.stage != Stage.ACOUSTIC:

@@ -1,8 +1,10 @@
 """Gradient and shape contracts for the reverse-mode tensor core."""
 
+import ast
 import threading
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from tricodec.autodiff import (
     backward,
     conv1d,
     conv1d_transpose,
-    div,
     index_add_rows,
     info_nce,
     gelu,
@@ -30,10 +31,10 @@ from tricodec.autodiff import (
     passthrough,
     reshape,
     rope_attention,
-    sigmoid,
     sq_distance,
     stft_mag,
     tanh,
+    topk_gate,
     tsum,
 )
 from tricodec import autodiff
@@ -233,7 +234,7 @@ def test_mlp_weight_grads_match_finite_differences():
 
     def f(w):
         return add(
-            tsum(sigmoid(linear(Tensor(x), w, Tensor(b1)))),
+            tsum(tanh(linear(Tensor(x), w, Tensor(b1)))),
             tsum(linear(gelu(linear(Tensor(x), w, Tensor(b1))), Tensor(w2))),
         )
 
@@ -296,14 +297,14 @@ def cycle_candidates(n):
 OPS = [
     ("add", lambda x, y: add(x, y), 2),
     ("mul", lambda x, y: mul(x, y), 2),
-    ("div", lambda x, y: div(x, add(mul(y, y), Tensor(np.array(0.5)))), 2),
     ("tanh", lambda x: tanh(x), 1),
-    ("sigmoid", lambda x: sigmoid(x), 1),
     ("gelu", lambda x: gelu(x), 1),
     ("tsum", lambda x: tsum(x, axis=0, keepdims=True), 1),
     ("linear", lambda x, y: linear(x, y), 2),
     # x reaches the weight and the bias too, so all three backward outputs are checked
     ("linear_bias", lambda x, y: linear(x, mul(x, y), x[:, 0]), 2),
+    # y is the centroids: as many experts as x has rows
+    ("topk_gate", lambda x, y: topk_gate(x, y, 2), 2),
     ("reshape", lambda x: reshape(x, (-1,)), 1),
     ("layer_norm", lambda x: layer_norm(x, Tensor(np.ones(x.shape[-1])), Tensor(np.zeros(x.shape[-1]))), 1),
     # x reaches both operands, so both backward outputs are checked
@@ -351,6 +352,75 @@ def test_every_op_has_a_grad_check():
     assert ops - covered == set(), "ops without a grad_check"
     assert set(OWN_GRAD_CHECK) <= ops
     assert all(test in globals() for test in OWN_GRAD_CHECK.values())
+
+
+# ops the codec itself never calls: the tests' scalar read-out
+UNUSED_BY_CODEC = {"tsum"}
+
+
+def test_every_op_is_called_by_the_codec():
+    # an op that only its own tests call is dead code
+    src = Path(autodiff.__file__).parent
+    called = set()
+    for path in src.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    ops = set(autodiff.__all__) - NOT_OPS
+    assert ops - UNUSED_BY_CODEC - called == set(), "ops no codec module calls"
+    assert UNUSED_BY_CODEC <= ops - called
+
+
+# ---------------------------------------------------------------------------
+# the MoE router's gate
+
+
+def topk_gate_reference(u, c, k):
+    """The gates as the chain of numpy ops the router ran before it was one
+    op: logits, overflow-safe sigmoid, stable top-k mask, renormalization."""
+    a = u @ c.T
+    e = np.exp(-np.abs(a))
+    s = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    keep = np.zeros_like(s)
+    np.put_along_axis(keep, np.argsort(-s, axis=1, kind="stable")[:, :k], 1.0, axis=1)
+    kept = s * keep
+    return kept / kept.sum(axis=1, keepdims=True)
+
+
+def test_topk_gate_matches_numpy_chain():
+    rng = np.random.default_rng(30)
+    for t, n, d, k in [(1, 3, 4, 1), (7, 5, 8, 2), (9, 4, 6, 3), (5, 4, 6, 4)]:
+        for dtype in (np.float64, np.float32):
+            u, c = rand(rng, t, d).astype(dtype), rand(rng, n, d).astype(dtype)
+            got = topk_gate(Tensor(u), Tensor(c), k).data
+            assert got.dtype == dtype and np.array_equal(got, topk_gate_reference(u, c, k)), (t, n, k, dtype)
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (2, 5), (3, 4)])
+def test_topk_gate_grad_check_both_operands(k, n):
+    rng = np.random.default_rng(30 + 10 * k + n)
+    grad_check_each_operand(topk_gate, (rand(rng, 6, 4), rand(rng, n, 4)), (6, n), rng, k=k)
+
+
+def test_topk_gate_passes_exactly_zero_gradient_at_k1():
+    rng = np.random.default_rng(31)
+    u = Tensor(rand(rng, 6, 5), requires_grad=True)
+    c = Tensor(rand(rng, 4, 5), requires_grad=True)
+    gates = topk_gate(u, c, 1)
+    assert np.array_equal(np.sort(gates.data, axis=1)[:, -1], np.ones(6))
+    backward(tsum(mul(gates, Tensor(rand(rng, 6, 4)))))
+    assert np.array_equal(u.grad, np.zeros((6, 5)))
+    assert np.array_equal(c.grad, np.zeros((4, 5)))
+
+
+def test_topk_gate_rejects_bad_shapes_and_k():
+    u, c = Tensor(np.ones((3, 4))), Tensor(np.ones((5, 4)))
+    for args in [(u, Tensor(np.ones((5, 3))), 2), (Tensor(np.ones(4)), c, 2), (u, c, 0), (u, c, 6)]:
+        with pytest.raises(ShapeError):
+            topk_gate(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -615,17 +685,23 @@ def conv1d_reference(x, w, b, stride, pad):
     return out
 
 
-def conv1d_transpose_reference(x, w, b, stride):
+def conv1d_transpose_reference(x, w, b, stride, pad=(0, 0)):
     k = w.shape[2]
     out = np.tile(b, ((x.shape[0] - 1) * stride + k, 1))
     for i in range(x.shape[0]):
         for j in range(k):
             out[stride * i + j] += x[i] @ w[:, :, j]
-    return out
+    return out[pad[0] : out.shape[0] - pad[1]]
 
 
 def conv_pads(k):
     return [(k // 2 + 1, k - 1 - k // 2), (0, k)]
+
+
+def transpose_pads(s, k, t):
+    """No crop, and the decoder's crop (s // 2, s - s // 2) where the full
+    (t - 1) * s + k output outlasts it; at odd s that crop is asymmetric."""
+    return [(0, 0)] + ([(s // 2, s - s // 2)] if (t - 1) * s + k > s else [])
 
 
 @pytest.mark.parametrize("s", range(1, 6))
@@ -644,11 +720,35 @@ def test_conv1d_matches_per_tap_reference(s):
 def test_conv1d_transpose_matches_per_tap_reference(s):
     rng = np.random.default_rng(50 + s)
     for k, t in conv_grid(s):
-        x, w, b = rand(rng, t, 3), rand(rng, 3, 2, k), rand(rng, 2)
-        got = conv1d_transpose(Tensor(x), Tensor(w), Tensor(b), stride=s).data
-        want = conv1d_transpose_reference(x, w, b, s)
-        assert got.shape == want.shape, (s, k, t)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (s, k, t)
+        for pad in transpose_pads(s, k, t):
+            x, w, b = rand(rng, t, 3), rand(rng, 3, 2, k), rand(rng, 2)
+            got = conv1d_transpose(Tensor(x), Tensor(w), Tensor(b), stride=s, padding=pad).data
+            want = conv1d_transpose_reference(x, w, b, s, pad)
+            assert got.shape == want.shape, (s, k, t, pad)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (s, k, t, pad)
+
+
+@pytest.mark.parametrize("s,k,pad", [(2, 4, (1, 1)), (5, 10, (2, 3)), (4, 8, (2, 2))])
+def test_conv1d_transpose_is_the_adjoint_of_conv1d(s, k, pad):
+    # <conv1d(x), y> = <x, conv1d_transpose(y)> for one w, stride and padding;
+    # x spans whole strides, so the transposed output has its length
+    rng = np.random.default_rng(100 + s)
+    t = 4 * s + k - pad[0] - pad[1]
+    x, w = rand(rng, t, 3), rand(rng, 2, 3, k)
+    down = conv1d(Tensor(x), Tensor(w), stride=s, padding=pad).data
+    y = rand(rng, *down.shape)
+    up = conv1d_transpose(Tensor(y), Tensor(w), stride=s, padding=pad).data
+    assert up.shape == x.shape
+    lhs, rhs = np.sum(down * y), np.sum(x * up)
+    assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0), (lhs, rhs)
+
+
+def test_conv1d_transpose_rejects_bad_padding():
+    x, w = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 1, 4)))  # 8 full output steps at stride 2
+    for pad in [(-1, 0), (0, -1), (4, 4), (8, 0)]:
+        with pytest.raises(ShapeError):
+            conv1d_transpose(x, w, stride=2, padding=pad)
+    assert conv1d_transpose(x, w, stride=2, padding=(4, 3)).shape == (1, 1)
 
 
 def conv1d_input_grad_reference(g, w, stride, pad, t):
@@ -728,8 +828,10 @@ def test_conv1d_grad_check_grid(s):
 def test_conv1d_transpose_grad_check_grid(s):
     rng = np.random.default_rng(70 + s)
     for k, t in conv_grid(s):
-        args = (rand(rng, t, 3), rand(rng, 3, 2, k), rand(rng, 2))
-        grad_check_each_operand(conv1d_transpose, args, ((t - 1) * s + k, 2), rng, stride=s)
+        for pad in transpose_pads(s, k, t):
+            args = (rand(rng, t, 3), rand(rng, 3, 2, k), rand(rng, 2))
+            t_out = (t - 1) * s + k - pad[0] - pad[1]
+            grad_check_each_operand(conv1d_transpose, args, (t_out, 2), rng, stride=s, padding=pad)
 
 
 def test_conv1d_builds_no_window_array():
@@ -867,14 +969,18 @@ def test_nonfinite_forward_raises():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         mul(Tensor(np.array([1e200])), Tensor(np.array([1e200])))
     with pytest.raises(NonFiniteError):
-        div(Tensor(np.array([1.0])), Tensor(np.array([0.0])))
+        # both logits underflow their affinities to 0, so the kept gate is 0 / 0
+        topk_gate(Tensor(np.array([[1.0]])), Tensor(np.array([[-1000.0], [-2000.0]])), 1)
 
 
 def test_fused_ops_raise_on_overflow_a_finite_output_would_hide():
-    # an infinite variance would normalize to 0, and a -inf attention score
-    # would get softmax weight 0; both must fail like any overflow
+    # an infinite variance would normalize to 0, a -inf attention score
+    # would get softmax weight 0, and an infinite router logit would give
+    # gate 1; all must fail like any overflow
     w = np.eye(2) * 1e160
     with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError):
+            topk_gate(Tensor(np.array([[1e200]])), Tensor(np.array([[1e200], [1.0]])), 1)
         with pytest.raises(NonFiniteError):
             layer_norm(Tensor(np.array([[1e200, -1e200]])), Tensor(np.ones(2)), Tensor(np.zeros(2)))
         with pytest.raises(NonFiniteError):

@@ -463,6 +463,32 @@ def test_decode_doctored_checkpoint_categorized(workdir, capsys, variant):
     assert not out_wav.exists()
 
 
+@pytest.mark.parametrize("variant", ["no-adam_m", "wide-adam_v", "no-adam_t", "short-rng_state"])
+def test_train_resume_from_doctored_checkpoint_categorized(workdir, capsys, variant):
+    # the final checkpoint marked as one saved after step 1 of 2, so the run
+    # resumes mid-stage from its optimizer moments, step count and RNG state
+    arrays = load_tensors(workdir / "run_a" / "ckpt_final.tckp")
+    arrays["meta/stage_in_progress"] = np.asarray(1, dtype=np.int64)
+    arrays["meta/step"] = np.asarray(1, dtype=np.int64)
+    moment = next(k for k in arrays if k.startswith("adam_m/"))
+    tensor = {"no-adam_m": moment, "wide-adam_v": "adam_v/" + moment[len("adam_m/"):],
+              "no-adam_t": "meta/adam_t", "short-rng_state": "meta/rng_state"}[variant]
+    if variant.startswith("no-"):
+        del arrays[tensor]
+    else:
+        arrays[tensor] = arrays[tensor][:3] if variant == "short-rng_state" else np.hstack([arrays[tensor]] * 2)
+    bad = workdir / f"resume_{variant}.tckp"
+    save_tensors(bad, arrays)
+    cfg = {**json.loads((workdir / "acoustic.json").read_text()),
+           "out_dir": str(workdir / f"run_resume_{variant}"), "init_checkpoint": str(bad)}
+    p = workdir / f"resume_{variant}.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: category=checkpoint-format:") and f"'{tensor}'" in err
+    assert not (workdir / f"run_resume_{variant}" / "ckpt_final.tckp").exists()
+
+
 def test_error_line_is_single_and_machine_parseable(workdir, capsys):
     main(["encode", "--ckpt", str(workdir / "run_a" / "ckpt_final.tckp"),
           "--out", "/tmp/x.uctk", str(workdir / "ghost.wav")])

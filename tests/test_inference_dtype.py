@@ -84,5 +84,6 @@ def test_float32_round_trip_runs_every_op_in_float32(tmp_path, monkeypatch):
     monkeypatch.setattr(autodiff, "_make", recording_make)
     clip = gen_toy_dataset(SEED, 1, 1.0)[0]
     codec.decode_tokens(codec.encode(clip))
-    assert {"conv1d", "rope_attention", "gelu", "getitem", "linear", "conv1d_transpose", "tanh"} <= {op for op, _ in seen}
+    ops = {"conv1d", "rope_attention", "gelu", "getitem", "linear", "topk_gate", "conv1d_transpose", "tanh"}
+    assert ops <= {op for op, _ in seen}
     assert [s for s in seen if s[1] != np.float32] == []

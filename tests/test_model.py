@@ -372,63 +372,26 @@ def test_decode_depends_only_on_ids():
     assert np.array_equal(w1.samples, w2.samples)
 
 
-def old_config(config, sample_rate=24000, **decoder_keys):
-    """``config`` as an older checkpoint embeds it: with the keys of removed
-    options, and with the copies of the latent width, the strides and the
-    output kernel that the quantizer and decoder sections used to hold
-    (``decoder_keys`` overrides the decoder's copies)."""
-    cfg = json.loads(json.dumps(config.to_dict()))
-    hidden = cfg["encoder"]["conv_channels"][-1]
-    cfg["encoder"].update(mlp_dim=256, hidden=hidden)
-    cfg["quantizer"].update(base_mean=4.0, base_std=1.0, hidden=hidden)
-    cfg["decoder"].update({"hidden": hidden, "strides": cfg["encoder"]["strides"], "out_kernel": 7, **decoder_keys})
-    cfg["sample_rate"] = sample_rate
-    return cfg
-
-
-def save_with_old_config_keys(codec, path, sample_rate, **decoder_keys):
-    """Save ``codec`` with ``old_config`` as its embedded config."""
+def test_checkpoint_with_old_config_keys_is_rejected(tmp_path):
+    # configs embedded before mlp_dim, base_mean, base_std and sample_rate
+    # were removed, or before the latent width, the strides and the output
+    # kernel had one owner each, name fields the config no longer has
+    codec = Codec(micro_config(), seed=5)
+    path = tmp_path / "old.tckp"
     codec.save(path)
     arrays = ckpt.load_tensors(path)
-    cfg = old_config(codec.config, sample_rate, **decoder_keys)
-    arrays["meta/config_json"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
-    ckpt.save_tensors(path, arrays)
-
-
-def test_checkpoint_with_removed_config_keys_loads(tmp_path):
-    # checkpoints written before mlp_dim, base_mean, base_std and sample_rate
-    # were removed, or before the width and strides had one owner each,
-    # still carry those keys in their embedded config
-    codec = Codec(CodecConfig.toy(), seed=5)
-    path = tmp_path / "old.tckp"
-    save_with_old_config_keys(codec, path, sample_rate=24000)
-
-    loaded = load_float64(path)  # the codec's own dtype, so ids compare exactly
-    assert loaded.config == codec.config
-    assert "sample_rate" not in codec.config.to_dict()
-    assert "hidden" not in codec.config.to_dict()["decoder"]
-    clip = tone(4800, hz=330.0)
-    assert np.array_equal(loaded.encode(clip).ids, codec.encode(clip).ids)
-
-
-@pytest.mark.parametrize("preset", ["toy", "full"])
-def test_old_config_keys_give_the_preset(preset):
-    cfg = getattr(CodecConfig, preset)()
-    assert CodecConfig.from_dict(old_config(cfg)) == cfg
-
-
-def test_checkpoint_with_disagreeing_duplicate_key_is_rejected(tmp_path):
-    path = tmp_path / "old.tckp"
-    save_with_old_config_keys(Codec(CodecConfig.toy(), seed=5), path, 24000, strides=[4, 2, 5, 4, 2])
-    with pytest.raises(CheckpointError, match=r"decoder\.strides \(4, 2, 5, 4, 2\) disagrees"):
-        Codec.load(path)
-
-
-def test_checkpoint_at_another_rate_is_rejected(tmp_path):
-    path = tmp_path / "old16k.tckp"
-    save_with_old_config_keys(Codec(micro_config(), seed=5), path, sample_rate=16000)
-    with pytest.raises(CheckpointError, match="sample_rate 16000"):
-        Codec.load(path)
+    cfg = codec.config.to_dict()
+    hidden, strides = cfg["encoder"]["conv_channels"][-1], list(cfg["encoder"]["strides"])
+    old_keys = [(None, "sample_rate", 24000), ("encoder", "mlp_dim", 256), ("quantizer", "base_mean", 4.0),
+                ("quantizer", "base_std", 1.0), ("encoder", "hidden", hidden), ("quantizer", "hidden", hidden),
+                ("decoder", "hidden", hidden), ("decoder", "strides", strides), ("decoder", "out_kernel", 7)]
+    for section, key, value in old_keys:
+        old = json.loads(json.dumps(cfg))
+        (old if section is None else old[section])[key] = value
+        arrays["meta/config_json"] = np.frombuffer(json.dumps(old).encode(), dtype=np.uint8)
+        ckpt.save_tensors(path, arrays)
+        with pytest.raises(CheckpointError, match=f"embedded model config is invalid: .*'{key}'"):
+            Codec.load(path)
 
 
 # ---------------------------------------------------------------------------
