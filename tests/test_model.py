@@ -394,6 +394,35 @@ def test_checkpoint_with_old_config_keys_is_rejected(tmp_path):
             Codec.load(path)
 
 
+def save_with_config_key(codec, path, section, key, value):
+    """Save ``codec`` with ``key`` set to ``value`` in its embedded config
+    (at the top level when ``section`` is None)."""
+    codec.save(path)
+    arrays = ckpt.load_tensors(path)
+    cfg = json.loads(json.dumps(codec.config.to_dict()))
+    (cfg if section is None else cfg[section])[key] = value
+    arrays["meta/config_json"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
+    ckpt.save_tensors(path, arrays)
+
+
+def test_checkpoint_with_disagreeing_duplicate_key_is_rejected(tmp_path):
+    # the decoder's strides are the encoder's reversed; a copy that disagrees
+    # is rejected as an unknown key, before anything could read it
+    path = tmp_path / "old.tckp"
+    save_with_config_key(Codec(CodecConfig.toy(), seed=5), path, "decoder", "strides", [4, 2, 5, 4, 2])
+    with pytest.raises(CheckpointError, match="embedded model config is invalid: .*'strides'"):
+        Codec.load(path)
+
+
+def test_checkpoint_at_another_rate_is_rejected(tmp_path):
+    # the codec runs at 24 kHz only; a checkpoint naming another rate is
+    # rejected rather than loaded as if it ran at 24 kHz
+    path = tmp_path / "old16k.tckp"
+    save_with_config_key(Codec(micro_config(), seed=5), path, None, "sample_rate", 16000)
+    with pytest.raises(CheckpointError, match="embedded model config is invalid: .*'sample_rate'"):
+        Codec.load(path)
+
+
 # ---------------------------------------------------------------------------
 # effective-book cache
 
