@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .checkpoint import CheckpointError
-from .losses import ContrastiveConfig, MaskSpec, mel_distance, stft_distance
+from .losses import mel_distance, stft_distance
 from .model import Codec, CodecConfig
 from .quantizer import TokenStreamError, load_tokens, save_tokens, utilization
 from .signal import (
@@ -65,29 +65,20 @@ _TOP_KEYS = {
     "out_dir": str,
     "init_checkpoint": str,
     "model": str,
-    "finetune_fraction": float,
-    "mask": dict,
-    "contrastive": dict,
     **_STAGE_KEYS,
 }
-# share of speech clips the finetune stage keeps when a config sets none
-_FINETUNE_FRACTION = 0.5
-_MASK_KEYS = _scalar_fields(MaskSpec)
-_CONTRASTIVE_KEYS = _scalar_fields(ContrastiveConfig)
 _REQUIRED = ("stage", "manifest", "out_dir")
 
 
-def _check_keys(section: dict, allowed: dict, where: str) -> None:
+def _check_keys(section: dict, allowed: dict) -> None:
     for key, value in section.items():
         if key not in allowed:
-            raise ConfigError(f"unknown config key '{where}{key}'")
+            raise ConfigError(f"unknown config key '{key}'")
         want = allowed[key]
         if want is float and isinstance(value, int) and not isinstance(value, bool):
             continue  # JSON integers are fine where floats are expected
         if not isinstance(value, want) or (want in (int, float) and isinstance(value, bool)):
-            raise ConfigError(
-                f"config key '{where}{key}' must be {want.__name__}, got {type(value).__name__}"
-            )
+            raise ConfigError(f"config key '{key}' must be {want.__name__}, got {type(value).__name__}")
 
 
 def load_train_config(path) -> dict:
@@ -98,9 +89,7 @@ def load_train_config(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    _check_keys(raw, _TOP_KEYS, "")
-    _check_keys(raw.get("mask", {}), _MASK_KEYS, "mask.")
-    _check_keys(raw.get("contrastive", {}), _CONTRASTIVE_KEYS, "contrastive.")
+    _check_keys(raw, _TOP_KEYS)
     for key in _REQUIRED:
         if key not in raw:
             raise ConfigError(f"missing required config key '{key}'")
@@ -110,9 +99,6 @@ def load_train_config(path) -> dict:
         Stage.from_string(raw["stage"])
     except ValueError as e:
         raise ConfigError(f"config key 'stage': {e}") from None
-    fraction = raw.get("finetune_fraction", _FINETUNE_FRACTION)
-    if not 0 < fraction <= 1:
-        raise ConfigError(f"config key 'finetune_fraction' must be in (0, 1], got {fraction}")
     return raw
 
 
@@ -121,10 +107,6 @@ def _stage_config_from(raw: dict) -> StageConfig:
     kw = {key: raw[key] for key in _STAGE_KEYS if key in raw}
     maker = {Stage.ACOUSTIC: StageConfig.acoustic, Stage.SEMANTIC: StageConfig.semantic, Stage.FINETUNE: StageConfig.finetune}
     try:
-        if "mask" in raw:
-            kw["mask"] = MaskSpec(**raw["mask"])
-        if "contrastive" in raw:
-            kw["contrastive"] = ContrastiveConfig(**raw["contrastive"])
         return maker[stage](**kw)
     except ValueError as e:
         raise ConfigError(str(e)) from None
@@ -171,7 +153,7 @@ def cmd_train(args) -> int:
     cfg = _stage_config_from(raw)
     clips = _load_training_clips(raw["manifest"])
     if cfg.stage == Stage.FINETUNE:
-        clips = curate_finetune(clips, raw.get("finetune_fraction", _FINETUNE_FRACTION))
+        clips = curate_finetune(clips)
     init_from = raw.get("init_checkpoint")
     if init_from is None and cfg.stage != Stage.ACOUSTIC:
         raise StageOrderError(

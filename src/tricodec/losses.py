@@ -1,5 +1,6 @@
-"""Training objectives and evaluation distances: span masking, the masked
-contrastive loss (one ``autodiff.info_nce`` op), time+mel reconstruction
+"""Training objectives and evaluation distances: span masking at the fixed
+``MASK_P`` and ``MASK_SPAN``, the masked contrastive loss (one
+``autodiff.info_nce`` op at ``TEMPERATURE``), time+mel reconstruction
 loss (differentiable ``autodiff.l1_distance`` terms; the mel frames are the
 fused ``autodiff.stft_mag`` op followed by the filterbank, one
 ``autodiff.linear``), and metric-grade mel/STFT distances (plain numpy).
@@ -18,9 +19,10 @@ from .autodiff import Tensor, info_nce, l1_distance, linear, stft_mag
 from .signal import HOP, N_FFT, AudioClip, mel_filterbank, mel_spectrogram, stft_magnitude
 
 __all__ = [
-    "MaskSpec",
+    "MASK_P",
+    "MASK_SPAN",
+    "TEMPERATURE",
     "MaskSet",
-    "ContrastiveConfig",
     "sample_mask",
     "contrastive_loss",
     "reconstruction_terms",
@@ -29,16 +31,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    p: float = 0.1
-    span: int = 5
+# share of frames that start a masked span, and each span's length in frames
+MASK_P = 0.1
+MASK_SPAN = 5
 
-    def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"mask proportion p must be in (0, 1), got {self.p}")
-        if self.span < 1:
-            raise ValueError(f"mask span must be >= 1, got {self.span}")
+# softmax temperature of the contrastive logits
+TEMPERATURE = 0.1
 
 
 @dataclass
@@ -51,51 +49,36 @@ class MaskSet:
         return int(self.mask.sum())
 
 
-def sample_mask(T: int, spec: MaskSpec, rng: np.random.Generator) -> MaskSet:
-    """Draw round(p*T) start indices (floored at 1) uniformly without
-    replacement; each start masks frames [s, min(s+span, T)). Spans may
+def sample_mask(T: int, rng: np.random.Generator) -> MaskSet:
+    """Draw round(MASK_P*T) start indices (floored at 1) uniformly without
+    replacement; each start masks frames [s, min(s+MASK_SPAN, T)). Spans may
     overlap."""
     if T < 1:
         raise ValueError(f"frame count must be >= 1, got {T}")
-    n_starts = min(T, max(1, int(round(spec.p * T))))
+    n_starts = min(T, max(1, int(round(MASK_P * T))))
     starts = rng.choice(T, size=n_starts, replace=False)
     mask = np.zeros(T, dtype=bool)
     for s in starts:
-        mask[s : s + spec.span] = True
+        mask[s : s + MASK_SPAN] = True
     return MaskSet(mask=mask, starts=starts)
 
 
-# softmax temperature of the contrastive logits
-TEMPERATURE = 0.1
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    n_distractors: int = 100
-
-    def __post_init__(self):
-        if self.n_distractors < 1:
-            raise ValueError(f"n_distractors must be >= 1, got {self.n_distractors}")
-
-
 def contrastive_loss(
-    q: Tensor, c: Tensor, mask: MaskSet, cfg: ContrastiveConfig, rng: np.random.Generator
+    q: Tensor, c: Tensor, mask: MaskSet, n_distractors: int, rng: np.random.Generator
 ) -> Tensor:
     """Identify the true conv latent among distractors, per masked step.
 
-    For each masked step t the candidate set is c_t plus K latents drawn
-    uniformly (without replacement) from the *other* masked steps; the loss
-    is -log softmax over cosine similarities divided by TEMPERATURE,
-    averaged over masked steps. Equal similarities give exactly log(K+1).
+    For each of the m masked steps t the candidate set is c_t plus
+    K = min(n_distractors, m - 1) latents drawn uniformly (without
+    replacement) from the *other* masked steps; the loss is -log softmax
+    over cosine similarities divided by TEMPERATURE, averaged over masked
+    steps. Equal similarities give exactly log(K+1).
     """
     idx = np.nonzero(mask.mask)[0]
     m = len(idx)
-    k = cfg.n_distractors
-    if m < k + 1:
-        raise ValueError(
-            f"contrastive loss needs more masked steps ({m}) than distractors ({k}); "
-            f"use longer inputs or fewer distractors"
-        )
+    if m < 2:
+        raise ValueError(f"contrastive loss needs at least 2 masked steps, got {m}")
+    k = min(n_distractors, m - 1)
     cand = np.empty((m, k + 1), dtype=np.int64)
     cand[:, 0] = idx
     for row, t in enumerate(idx):

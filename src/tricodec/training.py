@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -17,13 +17,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .autodiff import NonFiniteError, Tensor, add, backward, mul, no_grad
-from .losses import (
-    ContrastiveConfig,
-    MaskSpec,
-    contrastive_loss,
-    reconstruction_terms,
-    sample_mask,
-)
+from .losses import contrastive_loss, reconstruction_terms, sample_mask
 from .model import Codec, CodecConfig
 from .quantizer import alignment_loss, commitment_loss, simvq_embed  # noqa: F401 - perfbench wraps it
 from .signal import SAMPLE_RATE, AudioClip, Domain, spectral_flatness
@@ -41,10 +35,14 @@ __all__ = [
     "train_stage",
     "curate_finetune",
     "dataset_recon_loss",
+    "dataset_contrastive_loss",
 ]
 
 # training reads at most the first MAX_CLIP_SECONDS of each clip
 MAX_CLIP_SECONDS = 10.0
+
+# share of the speech clips that the fine-tune stage keeps, most harmonic first
+FINETUNE_FRACTION = 0.5
 
 # AdamW's moment decay rates, decoupled weight decay and denominator epsilon
 ADAM_BETAS = (0.9, 0.999)
@@ -90,8 +88,7 @@ class StageConfig:
     lr: float = 2e-4
     lr_min: float = 1e-6
     lam_c: float = 1.0
-    mask: MaskSpec = field(default_factory=MaskSpec)
-    contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
+    n_distractors: int = 100
     checkpoint_every: int = 0
     log_every: int = 10
 
@@ -110,6 +107,8 @@ class StageConfig:
             raise ValueError(f"lr_min must be in [0, lr={self.lr}], got {self.lr_min}")
         if not 0 <= self.lam_c < float("inf"):
             raise ValueError(f"lam_c must be finite and >= 0, got {self.lam_c}")
+        if self.n_distractors < 1:
+            raise ValueError(f"n_distractors must be >= 1, got {self.n_distractors}")
         if self.stage == Stage.FINETUNE and self.lr != 5e-5:
             raise ValueError("finetune stage is pinned to lr=5e-5")
 
@@ -248,6 +247,11 @@ def _resume_tensor(arrays: dict, name: str, shape: tuple, path) -> np.ndarray:
     return arrays[name]
 
 
+def _marker(arrays: dict, name: str, path) -> int:
+    """The scalar resume marker ``name`` of the checkpoint at ``path``; 0 when absent."""
+    return int(_resume_tensor(arrays, name, (), path)) if name in arrays else 0
+
+
 def _capped(clip: AudioClip) -> np.ndarray:
     """The clip's first ``MAX_CLIP_SECONDS``; ``Codec.forward`` cuts them to whole frames."""
     return clip.samples[: int(MAX_CLIP_SECONDS * clip.sample_rate)]
@@ -260,7 +264,7 @@ def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.rand
     adds the contrastive term."""
     x = _capped(clip)
     semantic = cfg.stage is Stage.SEMANTIC
-    maskset = sample_mask(len(x) // codec.config.downsample, cfg.mask, rng) if semantic else None
+    maskset = sample_mask(len(x) // codec.config.downsample, rng) if semantic else None
     out = codec.forward(x, domain=clip.domain, mask=maskset.mask if semantic else None, decode=True)
 
     time_l1, mel_l1 = reconstruction_terms(Tensor(out.samples), out.wave)
@@ -271,13 +275,9 @@ def _sample_losses(codec: Codec, clip: AudioClip, cfg: StageConfig, rng: np.rand
 
     terms = {"recon_time": time_l1, "recon_mel": mel_l1, "recon": recon, "commit": commit, "align": align}
     if semantic:
-        k_eff = min(cfg.contrastive.n_distractors, maskset.count - 1)
-        if k_eff < 1:
-            raise TrainingError(
-                f"only {maskset.count} masked frames; clip too short for the contrastive loss"
-            )
-        ccfg = replace(cfg.contrastive, n_distractors=k_eff)
-        lm = contrastive_loss(out.quantized, out.conv_feats, maskset, ccfg, rng)
+        if maskset.count < 2:
+            raise TrainingError(f"only {maskset.count} masked frames; clip too short for the contrastive loss")
+        lm = contrastive_loss(out.quantized, out.conv_feats, maskset, cfg.n_distractors, rng)
         terms["contrastive"] = lm
         total = add(total, mul(Tensor(np.asarray(cfg.lam_c, dtype=codec.dtype)), lm))
     terms["loss"] = total
@@ -295,19 +295,13 @@ def dataset_recon_loss(codec: Codec, clips: Sequence[AudioClip], cfg: StageConfi
 
 
 @no_grad()
-def dataset_contrastive_loss(
-    codec: Codec,
-    clips: Sequence[AudioClip],
-    mask: MaskSpec,
-    contrastive: ContrastiveConfig,
-    seed: int = 0,
-) -> float:
+def dataset_contrastive_loss(codec: Codec, clips: Sequence[AudioClip], n_distractors: int, seed: int = 0) -> float:
     """Mean masked-contrastive loss over all clips with a fixed mask seed.
 
     Deterministic given (model, clips, seed); used to measure how well masked
     positions identify their own unmasked conv feature among distractors.
     This is the semantic stage's training term, read without a graph."""
-    cfg = StageConfig.semantic(mask=mask, contrastive=contrastive)
+    cfg = StageConfig.semantic(n_distractors=n_distractors)
     rng = np.random.default_rng(seed)
     return float(np.mean([float(_sample_losses(codec, c, cfg, rng)["contrastive"].data) for c in clips]))
 
@@ -394,14 +388,14 @@ def train_stage(
         codec = Codec._from_arrays(arrays, init_from, np.float64)
         if model_config is not None and model_config != codec.config:
             raise ConfigError(f"the model config differs from the one {init_from} was trained with")
-        stage_done = int(arrays.get("meta/stage_done", np.asarray(0)))
+        stage_done = _marker(arrays, "meta/stage_done", init_from)
         if cfg.stage is not Stage.ACOUSTIC and stage_done < Stage.ACOUSTIC.value:
             raise StageOrderError(
                 f"{cfg.stage.name.lower()} stage requires a checkpoint with a completed acoustic "
                 f"stage; got one at stage_done={stage_done}"
             )
-        in_progress = int(arrays.get("meta/stage_in_progress", np.asarray(0)))
-        saved_step = int(arrays.get("meta/step", np.asarray(0)))
+        in_progress = _marker(arrays, "meta/stage_in_progress", init_from)
+        saved_step = _marker(arrays, "meta/step", init_from)
         if in_progress == cfg.stage.value and saved_step < cfg.steps:
             # mid-stage resume: restore optimizer moments and RNG exactly
             opt = AdamW(codec.trainable())
@@ -497,12 +491,13 @@ def train_stage(
     )
 
 
-def curate_finetune(clips: Sequence[AudioClip], fraction: float) -> list:
-    """Fine-tune subset: the most harmonic (lowest spectral-flatness) speech
-    clips, the toy-scale stand-in for a curated high-quality speech corpus."""
+def curate_finetune(clips: Sequence[AudioClip]) -> list:
+    """Fine-tune subset: the ``FINETUNE_FRACTION`` most harmonic (lowest
+    spectral-flatness) speech clips, the toy-scale stand-in for a curated
+    high-quality speech corpus."""
     speech = [c for c in clips if c.domain == Domain.SPEECH]
     if not speech:
         raise TrainingError("no speech clips available for fine-tune curation")
     ranked = sorted(speech, key=spectral_flatness)
-    keep = max(1, int(round(fraction * len(ranked))))
+    keep = max(1, int(round(FINETUNE_FRACTION * len(ranked))))
     return ranked[:keep]

@@ -16,9 +16,9 @@ from tricodec.cli import run_eval
 from tricodec.decoder import DecoderConfig, decode, init_decoder_params
 from tricodec.encoder import EncoderConfig, MoEConfig, moe_ffn, moe_gate, transformer_encode
 from tricodec.losses import (
-    ContrastiveConfig,
+    MASK_P,
+    MASK_SPAN,
     MaskSet,
-    MaskSpec,
     contrastive_loss,
     mel_distance,
     reconstruction_terms,
@@ -171,7 +171,7 @@ def acoustic_recipe():
 def semantic_recipe():
     return StageConfig.semantic(
         steps=200, batch_size=2, seed=0, lr=5e-4, lr_min=5e-5, lam_c=50.0,
-        mask=MaskSpec(p=0.1, span=5), contrastive=ContrastiveConfig(n_distractors=16),
+        n_distractors=16,
     )
 
 
@@ -193,10 +193,9 @@ def readouts(codec):
             out = codec.forward(clip.samples, domain=clip.domain)
             streams.append(out.stream)
             frames[clip.domain].append(out.frames.data)
-            maskset = sample_mask(len(out.stream), MaskSpec(p=0.1, span=5), rng)
+            maskset = sample_mask(len(out.stream), rng)
             masked_ids.append(len(np.unique(out.stream.ids[maskset.mask])))
-            ccfg = ContrastiveConfig(n_distractors=min(16, maskset.count - 1))
-            lm = contrastive_loss(out.quantized, out.conv_feats, maskset, ccfg, rng)
+            lm = contrastive_loss(out.quantized, out.conv_feats, maskset, 16, rng)
             bound.append(float(lm.data))
     live, offsets = [], []
     for domain in (Domain.SPEECH, Domain.MUSIC, Domain.SOUND):
@@ -254,9 +253,7 @@ def test_a4_semantic_stage_beats_uniform(a3_run):
         TOY_TRAIN, semantic_recipe(), sem_dir, init_from=a3_run["result"].final_checkpoint
     )
     codec = Codec.load(res.final_checkpoint)
-    lm = dataset_contrastive_loss(
-        codec, TOY_TRAIN, MaskSpec(p=0.1, span=5), ContrastiveConfig(n_distractors=16), seed=0
-    )
+    lm = dataset_contrastive_loss(codec, TOY_TRAIN, 16, seed=0)
     bound = float(np.log(17.0) - 0.5)
     mel_before = held_mel(Codec.load(a3_run["result"].final_checkpoint))
     mel_after = held_mel(codec)
@@ -347,10 +344,7 @@ def test_a5_gradient_integrity():
     q_c0 = rng.standard_normal((40, 8))
 
     def contrastive_of_q(qt):
-        return contrastive_loss(
-            qt, Tensor(c_feats), maskset, ContrastiveConfig(n_distractors=8),
-            np.random.default_rng(7),
-        )
+        return contrastive_loss(qt, Tensor(c_feats), maskset, 8, np.random.default_rng(7))
 
     reports["contrastive/q"] = grad_check(contrastive_of_q, Tensor(q_c0), h=1e-4, tol=1e-4)
 
@@ -474,12 +468,12 @@ def test_a8_determinism(a3_run, tmp_path):
 
 def test_a9_mask_statistics():
     t0 = time.time()
-    spec = MaskSpec(p=0.1, span=5)
+    assert (MASK_P, MASK_SPAN) == (0.1, 5)
     rng = np.random.default_rng(909)
     bad_counts = 0
     fracs = np.empty(10000)
     for i in range(10000):
-        ms = sample_mask(1000, spec, rng)
+        ms = sample_mask(1000, rng)
         if len(ms.starts) != 100:
             bad_counts += 1
         fracs[i] = ms.mask.mean()

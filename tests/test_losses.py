@@ -5,8 +5,8 @@ import pytest
 
 from tricodec.autodiff import Tensor, add, grad_check, mul
 from tricodec.losses import (
-    ContrastiveConfig,
-    MaskSpec,
+    MASK_P,
+    MASK_SPAN,
     contrastive_loss,
     mel_distance,
     reconstruction_terms,
@@ -24,16 +24,16 @@ from tricodec.training import StageConfig, dataset_recon_loss
 
 def test_mask_start_count_law():
     rng = np.random.default_rng(0)
-    spec = MaskSpec(p=0.1, span=5)
+    assert (MASK_P, MASK_SPAN) == (0.1, 5)
     for t, want in [(100, 10), (1000, 100), (75, 8), (4, 1), (14, 1), (16, 2)]:
-        ms = sample_mask(t, spec, rng)
+        ms = sample_mask(t, rng)
         assert len(ms.starts) == want, t
         assert len(np.unique(ms.starts)) == want  # without replacement
 
 
 def test_mask_spans_cover_starts():
     rng = np.random.default_rng(1)
-    ms = sample_mask(100, MaskSpec(p=0.1, span=5), rng)
+    ms = sample_mask(100, rng)
     for s in ms.starts:
         assert np.all(ms.mask[s : min(s + 5, 100)])
     # every masked frame lies within span of some start
@@ -46,31 +46,31 @@ def test_mask_spans_cover_starts():
 
 def test_mask_clips_at_sequence_end():
     rng = np.random.default_rng(2)
-    spec = MaskSpec(p=0.5, span=10)
-    ms = sample_mask(6, spec, rng)
-    assert ms.mask.shape == (6,)
-    assert ms.count <= 6
+    # a start in the last span's reach masks only the frames left
+    for _ in range(20):
+        ms = sample_mask(6, rng)
+        assert ms.mask.shape == (6,)
+        assert ms.count == min(6 - ms.starts[0], MASK_SPAN)
 
 
 def test_mask_deterministic_given_rng():
-    a = sample_mask(50, MaskSpec(), np.random.default_rng(7))
-    b = sample_mask(50, MaskSpec(), np.random.default_rng(7))
+    a = sample_mask(50, np.random.default_rng(7))
+    b = sample_mask(50, np.random.default_rng(7))
     assert np.array_equal(a.mask, b.mask)
     assert np.array_equal(a.starts, b.starts)
 
 
 def test_mask_rejects_empty():
     with pytest.raises(ValueError):
-        sample_mask(0, MaskSpec(), np.random.default_rng(0))
+        sample_mask(0, np.random.default_rng(0))
 
 
 def test_mask_fraction_statistics():
     # masked fraction over many draws approximates the Monte-Carlo value
     # of the identical procedure (union of spans from distinct starts)
     rng = np.random.default_rng(3)
-    spec = MaskSpec(p=0.1, span=5)
     t = 200
-    fracs = [sample_mask(t, spec, rng).count / t for _ in range(500)]
+    fracs = [sample_mask(t, rng).count / t for _ in range(500)]
     oracle_rng = np.random.default_rng(999)
     oracle = []
     for _ in range(500):
@@ -100,8 +100,7 @@ def test_contrastive_uniform_similarity_is_log_k_plus_1():
     c = Tensor(np.tile(np.linspace(1, 2, h), (t, 1)))
     q = Tensor(np.random.default_rng(4).standard_normal((t, h)))
     ms = make_mask(t, np.arange(8))
-    cfg = ContrastiveConfig(n_distractors=k)
-    val = float(contrastive_loss(q, c, ms, cfg, np.random.default_rng(0)).data)
+    val = float(contrastive_loss(q, c, ms, k, np.random.default_rng(0)).data)
     assert abs(val - np.log(k + 1)) < 1e-12
 
 
@@ -110,8 +109,7 @@ def test_contrastive_perfect_prediction_near_zero():
     t, h = 20, 16
     c = rng.standard_normal((t, h))
     ms = make_mask(t, np.arange(t))
-    cfg = ContrastiveConfig(n_distractors=8)
-    val = float(contrastive_loss(Tensor(c * 3), Tensor(c), ms, cfg, rng).data)
+    val = float(contrastive_loss(Tensor(c * 3), Tensor(c), ms, 8, rng).data)
     assert val < 0.2  # own feature wins nearly every row
 
 
@@ -122,10 +120,9 @@ def test_contrastive_matches_softmax_oracle():
     q = rng.standard_normal((t, h))
     c = rng.standard_normal((t, h))
     ms = make_mask(t, np.arange(t))
-    cfg = ContrastiveConfig(n_distractors=k)
 
     draw = np.random.default_rng(42)
-    got = float(contrastive_loss(Tensor(q), Tensor(c), ms, cfg, draw).data)
+    got = float(contrastive_loss(Tensor(q), Tensor(c), ms, k, draw).data)
 
     draw = np.random.default_rng(42)
     idx = np.arange(t)
@@ -141,11 +138,17 @@ def test_contrastive_matches_softmax_oracle():
 
 
 def test_contrastive_requires_enough_masked_steps():
-    q = Tensor(np.ones((10, 4)))
+    q = Tensor(np.random.default_rng(9).standard_normal((10, 4)))
+    for masked in ([], [4]):
+        with pytest.raises(ValueError) as e:
+            contrastive_loss(q, q, make_mask(10, masked), 5, np.random.default_rng(0))
+        assert "at least 2 masked steps" in str(e.value)
+    # with fewer masked steps than distractors, every other masked step is one:
+    # the same draws as a request for exactly m - 1
     ms = make_mask(10, [1, 2, 3])
-    with pytest.raises(ValueError) as e:
-        contrastive_loss(q, q, ms, ContrastiveConfig(n_distractors=5), np.random.default_rng(0))
-    assert "longer inputs or fewer distractors" in str(e.value)
+    capped = contrastive_loss(q, q, ms, 5, np.random.default_rng(0))
+    exact = contrastive_loss(q, q, ms, 2, np.random.default_rng(0))
+    assert capped.data == exact.data
 
 
 def test_contrastive_grad_wrt_q():
@@ -153,21 +156,22 @@ def test_contrastive_grad_wrt_q():
     t, h = 10, 6
     c = Tensor(rng.standard_normal((t, h)))
     ms = make_mask(t, np.arange(t))
-    cfg = ContrastiveConfig(n_distractors=4)
 
     def f(q):
-        return contrastive_loss(q, c, ms, cfg, np.random.default_rng(11))
+        return contrastive_loss(q, c, ms, 4, np.random.default_rng(11))
 
     rep = grad_check(f, Tensor(rng.standard_normal((t, h))))
     assert rep.passed, str(rep)
 
 
 def test_contrastive_config_validation():
+    # the distractor count is a stage setting; the temperature
+    # (losses.TEMPERATURE) and the mask shape are fixed, and no option sets them
     with pytest.raises(ValueError):
-        ContrastiveConfig(n_distractors=0)
-    # the temperature is fixed (losses.TEMPERATURE); no option sets it
-    with pytest.raises(TypeError):
-        ContrastiveConfig(temperature=0.1)
+        StageConfig.semantic(n_distractors=0)
+    for key in ("temperature", "mask", "contrastive"):
+        with pytest.raises(TypeError):
+            StageConfig.semantic(**{key: None})
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from tricodec import checkpoint as ckpt
 from tricodec.autodiff import Tensor
 from tricodec.decoder import DecoderConfig
 from tricodec.encoder import EncoderConfig, MoEConfig
-from tricodec.losses import ContrastiveConfig, MaskSpec
 from tricodec.model import Codec, CodecConfig
 from tricodec.quantizer import QuantizerConfig, alignment_loss, simvq_embed
 from tricodec.signal import AudioClip, Domain, gen_toy_dataset, resample, spectral_flatness
@@ -200,6 +199,15 @@ def test_stage_config_semantic_requires_both():
     assert rng.bit_generator.state != state
 
 
+def test_semantic_stage_rejects_a_one_frame_clip():
+    # one 320-sample frame masks one step, which leaves no distractor
+    codec = Codec(CodecConfig.toy(), seed=0)
+    x = 0.1 * np.random.default_rng(2).standard_normal(codec.config.downsample)
+    clip = AudioClip(x, 24000, Domain.SPEECH)
+    with pytest.raises(TrainingError, match="only 1 masked frames"):
+        _sample_losses(codec, clip, StageConfig.semantic(), np.random.default_rng(0))
+
+
 def test_stage_config_finetune_pins():
     # the mel weight follows the stage and cannot be set; lr is pinned by value
     with pytest.raises(TypeError):
@@ -271,7 +279,7 @@ def test_mid_stage_resume_is_bit_exact(acoustic_run, tmp_path, monkeypatch):
 
 
 def test_semantic_requires_checkpoint():
-    cfg = StageConfig.semantic(steps=1, contrastive=ContrastiveConfig(n_distractors=4))
+    cfg = StageConfig.semantic(steps=1, n_distractors=4)
     with pytest.raises(StageOrderError) as e:
         train_stage(micro_clips(), cfg, "/tmp/unused-semantic", model_config=micro_config())
     assert "acoustic" in str(e.value)
@@ -280,7 +288,7 @@ def test_semantic_requires_checkpoint():
 def test_semantic_rejects_unfinished_acoustic(acoustic_run, tmp_path):
     cfg, res = acoustic_run
     step0 = next(p for p in res.checkpoints if p.name == "ckpt_step0.tckp")
-    scfg = StageConfig.semantic(steps=1, contrastive=ContrastiveConfig(n_distractors=4))
+    scfg = StageConfig.semantic(steps=1, n_distractors=4)
     with pytest.raises(StageOrderError):
         train_stage(micro_clips(), scfg, tmp_path / "sem", init_from=step0)
 
@@ -292,8 +300,7 @@ def test_semantic_runs_from_completed_acoustic(acoustic_run, tmp_path):
         batch_size=1,
         lr=1e-4,
         lr_min=1e-5,
-        mask=MaskSpec(p=0.1, span=5),
-        contrastive=ContrastiveConfig(n_distractors=4),
+        n_distractors=4,
         log_every=1,
     )
     res2 = train_stage(micro_clips(), scfg, tmp_path / "sem", init_from=res.final_checkpoint)
@@ -306,7 +313,7 @@ def test_semantic_runs_from_completed_acoustic(acoustic_run, tmp_path):
 def test_finetune_runs_from_semantic_or_acoustic(acoustic_run, tmp_path):
     cfg, res = acoustic_run
     fcfg = StageConfig.finetune(steps=2, batch_size=1)
-    clips = curate_finetune(micro_clips(), fraction=1.0)
+    clips = curate_finetune(micro_clips())
     res2 = train_stage(clips, fcfg, tmp_path / "ft", init_from=res.final_checkpoint)
     assert res2.final_checkpoint.exists()
 
@@ -370,8 +377,7 @@ def test_training_clip_runs_each_phase_once(stage, monkeypatch):
     for owner in (quantizer, training):
         monkeypatch.setattr(owner, "simvq_embed", embed)
     codec = Codec(micro_config(), seed=4)
-    cfg = StageConfig(stage=stage, mask=MaskSpec(p=0.1, span=5),
-                      contrastive=ContrastiveConfig(n_distractors=4))
+    cfg = StageConfig(stage=stage, n_distractors=4)
     terms = _sample_losses(codec, micro_clips()[0], cfg, np.random.default_rng(0))
     assert ("contrastive" in terms) == (stage is Stage.SEMANTIC)
     assert counts == {"encode_frames": 1, "quantize": 1, "decode_frames": 1, "simvq_embed": 1}
@@ -472,7 +478,7 @@ def test_curate_finetune_prefers_harmonic_speech():
     noisy = AudioClip(np.clip(0.5 * rng.standard_normal(2048), -1, 1), 24000, Domain.SPEECH)
     music = AudioClip(0.5 * np.sin(2 * np.pi * 440 * t), 24000, Domain.MUSIC)
     assert spectral_flatness(tone) < spectral_flatness(noisy)
-    kept = curate_finetune([noisy, music, tone], fraction=0.5)
+    kept = curate_finetune([noisy, music, tone])
     assert kept == [tone]
 
 
@@ -480,11 +486,11 @@ def test_curate_finetune_requires_speech():
     t = np.arange(2048) / 24000.0
     music = AudioClip(0.5 * np.sin(2 * np.pi * 440 * t), 24000, Domain.MUSIC)
     with pytest.raises(TrainingError):
-        curate_finetune([music], fraction=0.5)
+        curate_finetune([music])
 
 
 def test_curate_finetune_on_toy_dataset():
     clips = gen_toy_dataset(5, 4, 0.5)
-    kept = curate_finetune(clips, fraction=0.5)
+    kept = curate_finetune(clips)
     assert len(kept) == 2
     assert all(c.domain == Domain.SPEECH for c in kept)
