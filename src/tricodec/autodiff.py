@@ -39,6 +39,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -81,6 +82,11 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # ... + a5 t^4) with t = 1 / (1 + p z), |error| <= 1.5e-7
 _AS_P = 0.3275911
 _AS_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+
+# elements per slice of ``_phi_float32``; query rows per block of
+# ``rope_attention`` when it records no graph
+_PHI_SLICE = 65536
+_ATTN_BLOCK = 256
 
 
 class AutodiffError(Exception):
@@ -164,13 +170,18 @@ def _check_finite(data: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"op '{op}' produced NaN/Inf")
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a graph node."""
+    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.name = None
-    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -224,27 +235,40 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _phi_float32(x: np.ndarray) -> np.ndarray:
-    """Phi(x) of a float32 array from numpy ops alone (A&S 7.1.26), built
-    in place. It is within 3e-7 of the exact CDF, a few float32 ulps:
-    A&S's own error is 7.5e-8 here, the rest is the float32 Horner sum."""
+    """Phi(x) of a float32 array from numpy ops alone (A&S 7.1.26). It is
+    within 3e-7 of the exact CDF, a few float32 ulps: A&S's own error is
+    7.5e-8 here, the rest is the float32 Horner sum.
+
+    The flattened input runs in slices of ``_PHI_SLICE`` elements (256 kB
+    of float32), each built in its slice of the one output with two
+    slice-sized scratch buffers, so the passes stay in cache and no
+    full-size temporary is made. Each element sees the same operations as
+    in one pass over the whole array, so the result is the same to the bit.
+    """
     shape, x = x.shape, x.reshape(-1)  # 1-d, so out= also takes a 0-d input
-    a = np.abs(x)
-    t = a * (_AS_P * _INV_SQRT2)
-    t += 1.0
-    np.reciprocal(t, out=t)
-    q = t * (-0.5 * _AS_A[4])  # Horner: q exp(-x^2 / 2) = -erfc(|x| / sqrt 2) / 2
-    for coef in _AS_A[3::-1]:
-        q += -0.5 * coef
-        q *= t
-    with np.errstate(over="ignore"):  # x^2 past float32's range gives exp(-inf) = 0
-        np.square(x, out=a)
-    a *= -0.5
-    np.exp(a, out=a)
-    q *= a
-    q += 0.5  # Phi(|x|) - 1/2
-    np.copysign(q, x, out=q)
-    q += 0.5
-    return q.reshape(shape)
+    out = np.empty_like(x)
+    a_buf = np.empty(min(x.size, _PHI_SLICE), x.dtype)
+    t_buf = np.empty_like(a_buf)
+    for s in range(0, x.size, _PHI_SLICE):
+        xs, q = x[s : s + _PHI_SLICE], out[s : s + _PHI_SLICE]
+        a, t = a_buf[: len(xs)], t_buf[: len(xs)]
+        np.abs(xs, out=a)
+        np.multiply(a, _AS_P * _INV_SQRT2, out=t)
+        t += 1.0
+        np.reciprocal(t, out=t)
+        np.multiply(t, -0.5 * _AS_A[4], out=q)  # Horner: q exp(-x^2 / 2) = -erfc(|x| / sqrt 2) / 2
+        for coef in _AS_A[3::-1]:
+            q += -0.5 * coef
+            q *= t
+        with np.errstate(over="ignore"):  # x^2 past float32's range gives exp(-inf) = 0
+            np.square(xs, out=a)
+        a *= -0.5
+        np.exp(a, out=a)
+        q *= a
+        q += 0.5  # Phi(|x|) - 1/2
+        np.copysign(q, xs, out=q)
+        q += 0.5
+    return out.reshape(shape)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -613,13 +637,18 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: i
 # rotary-position attention
 
 
+@lru_cache(maxsize=32)
 def _rope_table(t: int, head_dim: int, dtype) -> tuple:
-    """cos/sin tables of shape (1, t, head_dim) for rotary positions 0..t-1."""
+    """cos/sin tables of shape (1, t, head_dim) for rotary positions 0..t-1,
+    built once per (t, head_dim, dtype) and read-only, as every layer of an
+    encode shares them."""
     half = head_dim // 2
     inv_freq = 10000.0 ** (-np.arange(half, dtype=np.float64) / half)
     ang = np.outer(np.arange(t, dtype=np.float64), inv_freq)
     cos = np.concatenate([np.cos(ang), np.cos(ang)], axis=-1).astype(dtype)
     sin = np.concatenate([np.sin(ang), np.sin(ang)], axis=-1).astype(dtype)
+    cos.flags.writeable = False
+    sin.flags.writeable = False
     return cos[None], sin[None]
 
 
@@ -630,6 +659,16 @@ def rope_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, he
     attention. Rotating y by R(y) = concat(-y[half:], y[:half]) gives
     y * cos + R(y) * sin; its adjoint is g * cos + R^T(g * sin) with
     R^T(a) = concat(a[half:], -a[:half]).
+
+    When no graph is recorded the queries run in blocks of ``_ATTN_BLOCK``
+    (256) rows, so the live score array is (heads, 256, T) and memory grows
+    linearly in T. Each query row's softmax still spans every key, so the
+    result is exact (Rabe & Staats, arXiv 2112.05682); a clip of at most one
+    block is the same to the bit, a longer one may differ by how BLAS
+    rounds the block products. A recorded graph uses one block, since
+    backward reads the whole (heads, T, T) ``attn``. Each block's
+    finiteness check, scale, max-subtraction, exp and normalisation run in
+    place.
     """
     t, hidden = x.shape
     if hidden % heads != 0:
@@ -640,26 +679,38 @@ def rope_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, he
     half = hd // 2
     cos, sin = _rope_table(t, hd, x.dtype)
     scale = np.asarray(1.0 / math.sqrt(hd), x.dtype)
+    parents = (x, wq, wk, wv, wo)
+    record = _records(parents)
 
     def split_heads(w):
         return (x.data @ w.data.T).reshape(t, heads, hd).transpose(1, 0, 2)  # (H, T, hd)
 
     def rotate(y):
-        return y * cos + np.concatenate([-y[..., half:], y[..., :half]], axis=-1) * sin
-
-    def merge_heads(y):
-        return y.transpose(1, 0, 2).reshape(t, hidden)
+        # y * cos + R(y) * sin in one buffer; (-a) * b + c is c - a * b to the bit
+        out = y * cos
+        out[..., :half] -= y[..., half:] * sin[..., :half]
+        out[..., half:] += y[..., :half] * sin[..., half:]
+        return out
 
     q = rotate(split_heads(wq))
     k = rotate(split_heads(wk))
     v = split_heads(wv)
-    scores = q @ k.transpose(0, 2, 1)
-    _check_finite(scores, "rope_attention")  # softmax would give an overflowed score weight 0
-    scores = scores * scale
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
-    ctx = merge_heads(attn @ v)
+    kt = k.transpose(0, 2, 1)
+    ctx = np.empty((t, heads, hd), x.dtype)  # merged heads, written per block
+    block = t if record else _ATTN_BLOCK
+    for s in range(0, t, block):
+        attn = q[:, s : s + block] @ kt
+        _check_finite(attn, "rope_attention")  # softmax would give an overflowed score weight 0
+        attn *= scale
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        np.matmul(attn, v, out=ctx[s : s + block].transpose(1, 0, 2))
+    ctx = ctx.reshape(t, hidden)
     data = ctx @ wo.data.T
+
+    def merge_heads(y):
+        return y.transpose(1, 0, 2).reshape(t, hidden)
 
     def unrotate(g):
         gs = g * sin
@@ -675,7 +726,7 @@ def rope_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, he
         gx = gq @ wq.data + gk @ wk.data + gv @ wv.data
         return gx, gq.T @ x.data, gk.T @ x.data, gv.T @ x.data, g.T @ ctx
 
-    return _make(data, (x, wq, wk, wv, wo), bwd, "rope_attention")
+    return _make(data, parents, bwd, "rope_attention")
 
 
 # ---------------------------------------------------------------------------

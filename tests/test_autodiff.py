@@ -74,6 +74,31 @@ def test_gelu_float32_within_rounding_of_erf_form():
     assert err.max() <= 1e-6, f"max scaled error {err.max():.3e} at x = {x[np.argmax(err)]}"
 
 
+def phi_float32_one_pass(x):
+    """A&S 7.1.26 Phi of a float32 array in one pass over the whole array,
+    in ``_phi_float32``'s order of operations."""
+    a = np.abs(x)
+    t = 1.0 / (a * (autodiff._AS_P * autodiff._INV_SQRT2) + 1.0)
+    q = t * (-0.5 * autodiff._AS_A[4])
+    for coef in autodiff._AS_A[3::-1]:
+        q = (q + -0.5 * coef) * t
+    with np.errstate(over="ignore"):
+        e = np.exp(np.square(x) * -0.5)
+    return np.copysign(q * e + 0.5, x) + 0.5
+
+
+def test_phi_float32_slices_match_one_pass_to_the_bit():
+    # sizes around the slice length, a partial last slice, a 0-d input and
+    # a decoder-sized 2-d array
+    n = autodiff._PHI_SLICE
+    rng = np.random.default_rng(6)
+    for shape in [(), (1,), (n - 1,), (n,), (n + 1,), (3 * n + 5,), (72000, 32)]:
+        x = rng.normal(0.0, 4.0, shape).astype(np.float32)
+        got = autodiff._phi_float32(x)
+        assert got.shape == x.shape and got.dtype == np.float32
+        assert np.array_equal(got, phi_float32_one_pass(x)), shape
+
+
 def test_gelu_float64_is_the_scipy_erf_form():
     from scipy.special import erf
 
@@ -890,13 +915,14 @@ def test_rope_attention_grad():
 
 
 def rope_attention_reference(x, wq, wk, wv, wo, heads):
-    """Rotary attention as a chain of numpy ops, in the op's order."""
+    """Rotary attention as a chain of numpy ops, in the op's order and in
+    the dtype of ``x``."""
     t, hidden = x.shape
     hd = hidden // heads
     half = hd // 2
     ang = np.outer(np.arange(t, dtype=np.float64), 10000.0 ** (-np.arange(half, dtype=np.float64) / half))
-    cos = np.concatenate([np.cos(ang), np.cos(ang)], axis=-1)[None]
-    sin = np.concatenate([np.sin(ang), np.sin(ang)], axis=-1)[None]
+    cos = np.concatenate([np.cos(ang), np.cos(ang)], axis=-1)[None].astype(x.dtype)
+    sin = np.concatenate([np.sin(ang), np.sin(ang)], axis=-1)[None].astype(x.dtype)
 
     def rotated(y):
         return y * cos + np.concatenate([-y[..., half:], y[..., :half]], axis=-1) * sin
@@ -905,7 +931,7 @@ def rope_attention_reference(x, wq, wk, wv, wo, heads):
         return (x @ w.T).reshape(t, heads, hd).transpose(1, 0, 2)
 
     q, k, v = rotated(split_heads(wq)), rotated(split_heads(wk)), split_heads(wv)
-    scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(hd))
+    scores = (q @ k.transpose(0, 2, 1)) * np.asarray(1.0 / np.sqrt(hd), x.dtype)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     ctx = (e / e.sum(axis=-1, keepdims=True)) @ v
     return ctx.transpose(1, 0, 2).reshape(t, hidden) @ wo.T
@@ -920,6 +946,39 @@ def test_rope_attention_matches_numpy_reference():
             ws = [rand(rng, h, h) * 0.2 for _ in range(4)]
             got = rope_attention(Tensor(x), *map(Tensor, ws), heads=heads).data
             assert np.array_equal(got, rope_attention_reference(x, *ws, heads)), (heads, t)
+
+
+def test_rope_attention_query_blocks_match_numpy_reference():
+    # without a graph the queries run in blocks of _ATTN_BLOCK rows: at most
+    # one block is the reference to the bit, more may differ by how BLAS
+    # rounds the block products; a recorded graph is one block at any T
+    rng = np.random.default_rng(24)
+    h, heads, block = 16, 4, autodiff._ATTN_BLOCK
+    ws = [rand(rng, h, h) * 0.2 for _ in range(4)]
+    for t in (block, block + 1, 600):
+        for dtype in (np.float32, np.float64):
+            x = rand(rng, t, h).astype(dtype)
+            wd = [w.astype(dtype) for w in ws]
+            want = rope_attention_reference(x, *wd, heads)
+            with no_grad():
+                got = rope_attention(Tensor(x), *map(Tensor, wd), heads=heads).data
+            assert got.dtype == dtype
+            if t <= block:
+                assert np.array_equal(got, want), (t, dtype)
+            else:
+                rtol = 1e-5 if dtype == np.float32 else 1e-12
+                assert np.allclose(got, want, rtol=rtol, atol=rtol), (t, dtype)
+            recorded = rope_attention(Tensor(x, requires_grad=True), *map(Tensor, wd), heads=heads)
+            assert recorded.requires_grad and np.array_equal(recorded.data, want), (t, dtype)
+
+
+def test_rope_table_is_cached_and_read_only():
+    cos, sin = autodiff._rope_table(450, 64, np.dtype(np.float32))
+    again = autodiff._rope_table(450, 64, np.dtype(np.float32))
+    assert again[0] is cos and again[1] is sin
+    assert cos.shape == sin.shape == (1, 450, 64) and cos.dtype == np.float32
+    with pytest.raises(ValueError):
+        cos[0, 0, 0] = 2.0
 
 
 def test_rope_attention_head_divisibility_error():

@@ -246,6 +246,29 @@ def test_float32_load_never_holds_the_float64_checkpoint(tmp_path):
     assert peak < payload + largest // 2 + (256 << 10), f"peak {peak} for a {payload}-byte payload"
 
 
+def test_float32_encode_memory_grows_linearly_in_clip_length(tmp_path):
+    # without a graph, attention runs in query blocks, so the live score
+    # array is (heads, 256, T): doubling a 20 s clip at most about doubles
+    # the encode's peak. Unblocked, the 40 s clip's T = 3000 frames would
+    # hold three (4, 3000, 3000) float32 score arrays, 432 MB.
+    p = tmp_path / "c.tckp"
+    Codec(CodecConfig.toy(), seed=5).save(p)
+    codec = Codec.load(p)
+    rng = np.random.default_rng(6)
+    peaks = {}
+    for seconds in (20, 40):
+        clip = AudioClip(0.1 * rng.standard_normal(24000 * seconds), 24000)
+        tracemalloc.start()
+        try:
+            stream = codec.encode(clip)
+            _, peaks[seconds] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stream.ids.shape == (75 * seconds,)
+    assert peaks[40] < 2.2 * peaks[20], peaks
+    assert peaks[40] < 100 << 20, peaks
+
+
 def test_load_skips_the_optimizer_state(tmp_path):
     # a training checkpoint also holds AdamW's two moments per trainable
     # parameter; Codec.load seeks past them, so its peak stays below what

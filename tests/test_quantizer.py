@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tricodec.autodiff import Tensor, backward, mul, tsum
@@ -138,6 +138,9 @@ def exact_oracle(frames, book):
     width=st.integers(1, 48),
     offset=st.sampled_from([0.0, 4.0, 100.0]),
 )
+# always run: 12 frames here keep three near candidates each, which pins
+# the re-rank's row and column order over the flat scan of the screen's mask
+@example(seed=1, book_dtype=np.float32, frame_dtype=np.float32, size=300, width=16, offset=4.0)
 def test_nearest_matches_exact_oracle(seed, book_dtype, frame_dtype, size, width, offset):
     # Rows far apart in the book (so in different GEMM blocks) are made
     # bit-identical or one ulp apart; frames sit on or just off them. The
