@@ -110,18 +110,17 @@ class Tensor:
     tensors have neither.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"tensor '{name or '<leaf>'}' contains NaN/Inf")
+            raise NonFiniteError("a leaf tensor contains NaN/Inf")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
-        self.name = name
         self._parents: tuple = ()
         self._backward: Optional[Callable] = None
 
@@ -142,8 +141,7 @@ class Tensor:
         return self.data.dtype
 
     def __repr__(self):
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     def __getitem__(self, key):
         return _getitem(self, key)
@@ -180,7 +178,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable, op
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.name = None
     if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -535,7 +532,7 @@ def _shift_outer(blocks: np.ndarray, y: np.ndarray, nb: int) -> np.ndarray:
     return out
 
 
-def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, padding=0) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding=0) -> Tensor:
     """1-D convolution over time-major input.
 
     x: (T, C_in), w: (C_out, C_in, K), output (T', C_out) with
@@ -566,23 +563,17 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
     wp = np.zeros((nb * stride, c_in, c_out), dtype=w.dtype)
     wp[:k] = w.data.transpose(2, 1, 0)
     wb = wp.reshape(nb, stride * c_in, c_out)
-    data = _shift_sum(xb, wb, t_out)
-    if b is not None:
-        data = data + b.data
+    data = _shift_sum(xb, wb, t_out) + b.data
 
     def bwd(g):
         gw = _shift_outer(xb, g, nb).reshape(nb * stride, c_in, c_out)[:k].transpose(2, 1, 0)
         gxb = _shift_add(g, wb.transpose(0, 2, 1), rows)
-        gx = gxb.reshape(rows * stride, c_in)[pl : pl + t]
-        if b is not None:
-            return gx, gw, g.sum(axis=0)
-        return gx, gw
+        return gxb.reshape(rows * stride, c_in)[pl : pl + t], gw, g.sum(axis=0)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(data, parents, bwd, "conv1d")
+    return _make(data, (x, w, b), bwd, "conv1d")
 
 
-def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, padding=0) -> Tensor:
+def conv1d_transpose(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding=0) -> Tensor:
     """Transposed 1-D convolution: the adjoint of ``conv1d`` with the same
     stride and padding.
 
@@ -614,9 +605,7 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: i
     wp = np.zeros((nb * stride, c_in, c_out), dtype=w.dtype)
     wp[:k] = w.data.transpose(2, 0, 1)
     wb = wp.reshape(nb, stride, c_in, c_out).transpose(0, 2, 1, 3).reshape(nb, c_in, stride * c_out)
-    data = _shift_add(x.data, wb, rows).reshape(rows * stride, c_out)[pl : pl + t_out]
-    if b is not None:
-        data = data + b.data
+    data = _shift_add(x.data, wb, rows).reshape(rows * stride, c_out)[pl : pl + t_out] + b.data
 
     def bwd(g):
         gb = np.zeros((rows * stride, c_out), dtype=g.dtype)
@@ -625,12 +614,9 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: i
         gx = _shift_sum(gb, wb.transpose(0, 2, 1), t)
         gw = _shift_outer(gb, x.data, nb).reshape(nb, stride, c_out, c_in)
         gw = gw.transpose(3, 2, 0, 1).reshape(c_in, c_out, nb * stride)[:, :, :k]
-        if b is not None:
-            return gx, gw, g.sum(axis=0)
-        return gx, gw
+        return gx, gw, g.sum(axis=0)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(data, parents, bwd, "conv1d_transpose")
+    return _make(data, (x, w, b), bwd, "conv1d_transpose")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Waveform encoder: strided convolutions down to 75 frames/second, then a
 pre-norm transformer whose feed-forward sublayers are a domain
 mixture-of-experts (one always-on shared expert plus routed experts under a
-sigmoid top-k gate, the one graph node ``autodiff.topk_gate``).
+sigmoid top-k gate that ``moe_mix`` computes as one ``autodiff.topk_gate``
+node).
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ __all__ = [
     "encoder_param_shapes",
     "init_encoder_params",
     "conv_encode",
-    "moe_gate",
     "moe_mix",
-    "moe_ffn",
     "transformer_encode",
     "encode_frames",
 ]
@@ -70,6 +69,8 @@ class EncoderConfig:
             raise ValueError(
                 f"strides and conv_channels lengths differ: {len(self.strides)} vs {len(self.conv_channels)}"
             )
+        if min(*self.strides, *self.conv_channels, self.heads) < 1 or self.layers < 0:
+            raise ValueError(f"strides, conv_channels and heads must be >= 1 and layers >= 0, got {self}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
 
@@ -131,13 +132,13 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict:
     return p
 
 
-def conv_encode(samples, params: dict, cfg: EncoderConfig) -> Tensor:
-    """Waveform (T,) to pre-transformer features (floor(T/320), hidden).
+def conv_encode(samples: np.ndarray, params: dict, cfg: EncoderConfig) -> Tensor:
+    """Waveform array (T,) to pre-transformer features (floor(T/320), hidden).
 
     These features double as the contrastive targets of the semantic
     training stage.
     """
-    x = samples if isinstance(samples, Tensor) else Tensor(np.asarray(samples))
+    x = Tensor(samples)
     if x.ndim != 1:
         raise ShapeError(f"conv_encode expects a 1-D waveform, got shape {x.shape}")
     if x.shape[0] < cfg.downsample:
@@ -159,30 +160,14 @@ def conv_encode(samples, params: dict, cfg: EncoderConfig) -> Tensor:
     return x
 
 
-def moe_gate(u, centroids: Tensor, k_routed: int) -> Tensor:
-    """Routed-expert gates from sigmoid token-to-expert affinities, one
-    ``topk_gate`` node.
-
-    Affinity s_i = sigmoid(u . e_i); the top k_routed affinities (ties
-    broken toward the lowest expert index) are kept and renormalized to
-    sum to 1, the rest are exactly zero. At k_routed = 1 the kept gate is
-    exactly 1, so neither u nor the centroids get any gradient through it.
-    Output matches u's leading shape: (n_routed,) for a single vector,
-    (T, n_routed) for a sequence.
-    """
-    single = u.ndim == 1
-    ut = reshape(u, (1, u.shape[0])) if single else u
-    gates = topk_gate(ut, centroids, k_routed)
-    return reshape(gates, (gates.shape[1],)) if single else gates
-
-
 def _expert_ffn(u: Tensor, params: dict, prefix: str) -> Tensor:
     h = linear(u, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
     return linear(gelu(h), params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def moe_mix(u: Tensor, params: dict, prefix: str, cfg: MoEConfig) -> Tensor:
-    """Sum of shared experts plus gate-weighted routed experts (no residual).
+    """Sum of shared experts plus gate-weighted routed experts (no residual)
+    for frames ``u`` of shape (T, hidden), gated by ``topk_gate``.
 
     Every row runs the shared experts; routed expert j runs only on the
     rows whose gate selects it, and its gate-scaled outputs are added back
@@ -190,26 +175,19 @@ def moe_mix(u: Tensor, params: dict, prefix: str, cfg: MoEConfig) -> Tensor:
     equals the dense gate-weighted sum. An expert no row selects builds no
     graph node, and its parameters get no gradient.
     """
-    single = u.ndim == 1
-    ut = reshape(u, (1, u.shape[0])) if single else u
-    gates = moe_gate(ut, params[f"{prefix}.centroids"], cfg.k_routed)
+    gates = topk_gate(u, params[f"{prefix}.centroids"], cfg.k_routed)
     mix = None
     for j in range(cfg.n_shared):
-        out = _expert_ffn(ut, params, f"{prefix}.shared{j}")
+        out = _expert_ffn(u, params, f"{prefix}.shared{j}")
         mix = out if mix is None else add(mix, out)
     if mix is None:
-        mix = Tensor(np.zeros(ut.shape, dtype=ut.dtype))
+        mix = Tensor(np.zeros(u.shape, dtype=u.dtype))
     for j in range(cfg.n_routed):
         rows = np.flatnonzero(gates.data[:, j])
         if rows.size:
-            out = _expert_ffn(ut[rows], params, f"{prefix}.routed{j}")
+            out = _expert_ffn(u[rows], params, f"{prefix}.routed{j}")
             mix = index_add_rows(mix, rows, mul(out, gates[rows, j : j + 1]))
-    return reshape(mix, (mix.shape[1],)) if single else mix
-
-
-def moe_ffn(u: Tensor, params: dict, prefix: str, cfg: MoEConfig) -> Tensor:
-    """h = u + sum(shared experts) + sum(gated routed experts)."""
-    return add(u, moe_mix(u, params, prefix, cfg))
+    return mix
 
 
 def transformer_encode(feats: Tensor, params: dict, cfg: EncoderConfig) -> Tensor:
@@ -240,7 +218,7 @@ def transformer_encode(feats: Tensor, params: dict, cfg: EncoderConfig) -> Tenso
 
 
 def encode_frames(
-    samples,
+    samples: np.ndarray,
     params: dict,
     cfg: EncoderConfig,
     mask: Optional[np.ndarray] = None,
@@ -248,19 +226,14 @@ def encode_frames(
     """Full encoder pass: conv features, optional span-mask replacement by
     the learned mask embedding, transformer, final norm.
 
-    Returns (latent frames, conv features). When ``mask`` (a boolean array
-    over frames) is given, masked rows of the conv features are replaced by
-    the shared mask embedding before the transformer; the returned conv
-    features stay unmasked, as the contrastive targets must be.
+    Returns (latent frames, conv features). When ``mask`` (a boolean array,
+    one entry per frame) is given, masked rows of the conv features are
+    replaced by the shared mask embedding before the transformer; the
+    returned conv features stay unmasked, as the contrastive targets must be.
     """
     conv_feats = conv_encode(samples, params, cfg)
     x = conv_feats
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (conv_feats.shape[0],):
-            raise ShapeError(
-                f"mask shape {mask.shape} does not match frame count {conv_feats.shape[0]}"
-            )
         x = masked_fill_rows(x, mask, params["enc.mask_embed"])
     frames = transformer_encode(x, params, cfg)
     return frames, conv_feats

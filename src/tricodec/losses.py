@@ -97,23 +97,15 @@ def _mel_tensor(x: Tensor) -> Tensor:
     return linear(stft_mag(x, N_FFT, HOP), Tensor(mel_filterbank().astype(x.dtype.name)))
 
 
-def _as_wave_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
-def reconstruction_terms(x, xhat) -> tuple:
-    """(time-domain L1, mel-domain L1) between two waveforms at the codec
-    rate, truncated to the shorter length. The mel term is zero for clips
-    shorter than one analysis frame."""
-    xt, yt = _as_wave_tensor(x), _as_wave_tensor(xhat)
-    n = min(xt.shape[0], yt.shape[0])
-    xt = xt[:n] if xt.shape[0] != n else xt
-    yt = yt[:n] if yt.shape[0] != n else yt
-    time_l1 = l1_distance(xt, yt)
-    if n < N_FFT:
-        return time_l1, Tensor(np.zeros((), dtype=xt.dtype))
-    mel_l1 = l1_distance(_mel_tensor(xt), _mel_tensor(yt))
-    return time_l1, mel_l1
+def reconstruction_terms(x: Tensor, xhat: Tensor) -> tuple:
+    """(time-domain L1, mel-domain L1) between two waveforms of equal length
+    at the codec rate; ``l1_distance`` raises ``ShapeError`` on unequal
+    lengths. The mel term is zero for clips shorter than one analysis
+    frame."""
+    time_l1 = l1_distance(x, xhat)
+    if x.shape[0] < N_FFT:
+        return time_l1, Tensor(np.zeros((), dtype=x.dtype))
+    return time_l1, l1_distance(_mel_tensor(x), _mel_tensor(xhat))
 
 
 # ---------------------------------------------------------------------------

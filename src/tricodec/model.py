@@ -147,7 +147,7 @@ class Codec:
 
     def __init__(self, config: CodecConfig, seed: int = 0, params: Optional[dict] = None):
         """A fresh float64 codec drawn from ``seed``, or, given ``params``
-        (all of one dtype), the codec holding them, in their dtype."""
+        (arrays of one dtype), the codec holding them, in their dtype."""
         self.config = config
         if params is None:
             enc, rng = config.encoder, np.random.default_rng(seed)
@@ -156,10 +156,7 @@ class Codec:
                 **init_quantizer_params(config.quantizer, enc.hidden, rng),
                 **init_decoder_params(config.decoder, enc.hidden, enc.strides, rng),
             }
-        self.params = {
-            name: arr if isinstance(arr, Tensor) else Tensor(arr, requires_grad=name not in _FROZEN)
-            for name, arr in params.items()
-        }
+        self.params = {name: Tensor(arr, requires_grad=name not in _FROZEN) for name, arr in params.items()}
         self.dtype = next(iter(self.params.values())).dtype
         self._book_cache = None  # (vq.base array, {name: copy of trainable vq.*}, effective_book)
 
@@ -286,7 +283,11 @@ class Codec:
         params = {
             k[len("param/") :]: v.astype(dtype, copy=False) for k, v in arrays.items() if k.startswith("param/")
         }
-        for name, shape in config.param_shapes().items():
+        shapes = config.param_shapes()
+        unnamed = next((name for name in params if name not in shapes), None)
+        if unnamed is not None:
+            raise ckpt.CheckpointError(f"{path}: tensor 'param/{unnamed}' is not a parameter of the embedded config")
+        for name, shape in shapes.items():
             if name not in params:
                 raise ckpt.CheckpointError(f"{path}: checkpoint lacks tensor 'param/{name}'")
             if params[name].shape != shape:

@@ -195,8 +195,9 @@ def _nearest(f: np.ndarray, book: np.ndarray, sq: np.ndarray) -> np.ndarray:
     # cost on a (T, 16384) mask
     rows, cols = np.divmod(np.flatnonzero(near), near.shape[1])
     exact = np.sum((f64[rows] - book[cols]) ** 2, axis=1)
-    # rows ascending, then exact distance, then column: first hit per row wins
-    order = np.lexsort((cols, exact, rows))
+    # rows ascending, then exact distance: first hit per row wins. Each row's
+    # columns arrive ascending and lexsort is stable, so ties keep the lowest id
+    order = np.lexsort((exact, rows))
     first = np.ones(len(order), dtype=bool)
     first[1:] = rows[order][1:] != rows[order][:-1]
     return cols[order][first]

@@ -404,8 +404,10 @@ def gen_toy_dataset(seed: int, per_domain: int, duration: float) -> list:
     music, and sound, peak-normalized at SAMPLE_RATE."""
     if per_domain < 1:
         raise ValueError(f"per_domain must be >= 1, got {per_domain}")
-    rng = np.random.default_rng(seed)
+    if not (np.isfinite(duration) and round(duration * SAMPLE_RATE) >= 1):
+        raise ValueError(f"duration must be finite and at least one sample (1/{SAMPLE_RATE} s), got {duration}")
     n = int(round(duration * SAMPLE_RATE))
+    rng = np.random.default_rng(seed)
     clips = []
     for domain in (Domain.SPEECH, Domain.MUSIC, Domain.SOUND):
         synth = _SYNTH[domain]

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from tricodec.autodiff import Tensor, backward, grad_check, mul, no_grad, tsum
+from tricodec.autodiff import Tensor, add, backward, grad_check, mul, no_grad, topk_gate, tsum
 from tricodec.cli import run_eval
 from tricodec.decoder import DecoderConfig, decode, init_decoder_params
-from tricodec.encoder import EncoderConfig, MoEConfig, moe_ffn, moe_gate, transformer_encode
+from tricodec.encoder import EncoderConfig, MoEConfig, moe_mix, transformer_encode
 from tricodec.losses import (
     MASK_P,
     MASK_SPAN,
@@ -74,14 +74,14 @@ def test_a1_moe_matches_dense_oracle():
                 params[f"t.{kind}{j}.w2"] = Tensor(rng.standard_normal((hidden, edim)))
                 params[f"t.{kind}{j}.b2"] = Tensor(rng.standard_normal(hidden))
 
-        gates = moe_gate(Tensor(u), params["t.centroids"], k_routed).data
+        gates = topk_gate(Tensor(u[None]), params["t.centroids"], k_routed).data[0]
         s = 1.0 / (1.0 + np.exp(-(u @ params["t.centroids"].data.T)))
         order = np.argsort(-s, kind="stable")
         keep = np.zeros(n_routed)
         keep[order[:k_routed]] = 1.0
         want_gates = s * keep / (s * keep).sum()
 
-        out = moe_ffn(Tensor(u), params, "t", cfg).data
+        out = add(Tensor(u[None]), moe_mix(Tensor(u[None]), params, "t", cfg)).data[0]
         want = u.copy()
         for j in range(n_shared):
             want = want + _oracle_ffn(u, params, f"t.shared{j}")

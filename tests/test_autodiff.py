@@ -132,7 +132,7 @@ def test_conv1d_kernel_one_identity():
     rng = np.random.default_rng(1)
     x = Tensor(rand(rng, 20, 1))
     w = Tensor(np.ones((1, 1, 1)))
-    out = conv1d(x, w, stride=1, padding=0)
+    out = conv1d(x, w, Tensor(np.zeros(1)), stride=1, padding=0)
     assert np.allclose(out.data, x.data)
 
 
@@ -142,7 +142,7 @@ def test_conv1d_stride_framing():
     for t, s in [(20, 2), (21, 3), (40, 5)]:
         x = Tensor(rand(rng, t, 1))
         w = Tensor(rand(rng, 4, 1, 2 * s))
-        out = conv1d(x, w, stride=s, padding=(s // 2, s - s // 2))
+        out = conv1d(x, w, Tensor(np.zeros(4)), stride=s, padding=(s // 2, s - s // 2))
         assert out.shape == (t // s, 4)
 
 
@@ -165,7 +165,7 @@ def test_conv1d_transpose_value_oracle():
     rng = np.random.default_rng(4)
     x = rand(rng, 6, 2)
     w = rand(rng, 2, 3, 4)
-    out = conv1d_transpose(Tensor(x), Tensor(w), stride=2).data
+    out = conv1d_transpose(Tensor(x), Tensor(w), Tensor(np.zeros(3)), stride=2).data
     want = np.zeros(((6 - 1) * 2 + 4, 3))
     for j in range(6):
         for c in range(2):
@@ -655,7 +655,7 @@ def test_conv1d_grad_x_and_w():
     w = Tensor(rand(rng, 3, 2, 4))
 
     def fx(x):
-        return tsum(mul(conv1d(x, w, stride=2, padding=(1, 1)), Tensor(np.array(1.5))))
+        return tsum(mul(conv1d(x, w, Tensor(np.zeros(3)), stride=2, padding=(1, 1)), Tensor(np.array(1.5))))
 
     rep = grad_check(fx, Tensor(rand(rng, 10, 2)))
     assert rep.passed, str(rep)
@@ -675,7 +675,7 @@ def test_conv1d_transpose_grad_x_and_w():
     w = Tensor(rand(rng, 2, 3, 4))
 
     def fx(x):
-        out = conv1d_transpose(x, w, stride=2)
+        out = conv1d_transpose(x, w, Tensor(np.zeros(3)), stride=2)
         return tsum(mul(out, out))
 
     rep = grad_check(fx, Tensor(rand(rng, 6, 2)))
@@ -760,9 +760,9 @@ def test_conv1d_transpose_is_the_adjoint_of_conv1d(s, k, pad):
     rng = np.random.default_rng(100 + s)
     t = 4 * s + k - pad[0] - pad[1]
     x, w = rand(rng, t, 3), rand(rng, 2, 3, k)
-    down = conv1d(Tensor(x), Tensor(w), stride=s, padding=pad).data
+    down = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(2)), stride=s, padding=pad).data
     y = rand(rng, *down.shape)
-    up = conv1d_transpose(Tensor(y), Tensor(w), stride=s, padding=pad).data
+    up = conv1d_transpose(Tensor(y), Tensor(w), Tensor(np.zeros(3)), stride=s, padding=pad).data
     assert up.shape == x.shape
     lhs, rhs = np.sum(down * y), np.sum(x * up)
     assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0), (lhs, rhs)
@@ -770,10 +770,11 @@ def test_conv1d_transpose_is_the_adjoint_of_conv1d(s, k, pad):
 
 def test_conv1d_transpose_rejects_bad_padding():
     x, w = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 1, 4)))  # 8 full output steps at stride 2
+    b = Tensor(np.zeros(1))
     for pad in [(-1, 0), (0, -1), (4, 4), (8, 0)]:
         with pytest.raises(ShapeError):
-            conv1d_transpose(x, w, stride=2, padding=pad)
-    assert conv1d_transpose(x, w, stride=2, padding=(4, 3)).shape == (1, 1)
+            conv1d_transpose(x, w, b, stride=2, padding=pad)
+    assert conv1d_transpose(x, w, b, stride=2, padding=(4, 3)).shape == (1, 1)
 
 
 def conv1d_input_grad_reference(g, w, stride, pad, t):
@@ -1086,7 +1087,7 @@ def small_graph(seed=31):
     bias = Tensor(0.1 * rand(rng, h), requires_grad=True)
 
     def forward():
-        z = gelu(conv1d(x, cw, stride=2, padding=1))
+        z = gelu(conv1d(x, cw, Tensor(np.zeros(h)), stride=2, padding=1))
         return layer_norm(rope_attention(z, *ws, heads=2), gain, bias)
 
     return forward

@@ -64,6 +64,13 @@ def test_gen_data_deterministic(tmp_path):
     assert fa == fb
 
 
+@pytest.mark.parametrize("duration", ["0", "-1", "0.00002", "inf", "nan"])
+def test_gen_data_rejects_duration_under_one_sample(tmp_path, capsys, duration):
+    assert main(["gen-data", "--out", str(tmp_path), "--duration", duration]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: category=usage: duration must be finite and at least one sample")
+
+
 # ---------------------------------------------------------------------------
 # config validation
 

@@ -12,7 +12,7 @@ STRIDES = (2, 4, 5, 4, 2)
 
 def make_params(seed=0, cfg=CFG, hidden=16, strides=STRIDES):
     raw = init_decoder_params(cfg, hidden, strides, np.random.default_rng(seed))
-    return {k: Tensor(v, requires_grad=True, name=k) for k, v in raw.items()}
+    return {k: Tensor(v, requires_grad=True) for k, v in raw.items()}
 
 
 def test_length_law_exact():

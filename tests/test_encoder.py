@@ -6,15 +6,24 @@ import numpy as np
 import pytest
 
 from tricodec import encoder
-from tricodec.autodiff import Tensor, add, backward, gelu, grad_check, layer_norm, linear, mul, tsum
+from tricodec.autodiff import (
+    Tensor,
+    add,
+    backward,
+    gelu,
+    grad_check,
+    layer_norm,
+    linear,
+    mul,
+    topk_gate,
+    tsum,
+)
 from tricodec.encoder import (
     EncoderConfig,
     MoEConfig,
     conv_encode,
     encode_frames,
     init_encoder_params,
-    moe_ffn,
-    moe_gate,
     moe_mix,
     transformer_encode,
 )
@@ -32,7 +41,7 @@ CFG = EncoderConfig(
 
 def make_params(cfg=CFG, seed=0):
     raw = init_encoder_params(cfg, np.random.default_rng(seed))
-    return {k: Tensor(v, requires_grad=True, name=k) for k, v in raw.items()}
+    return {k: Tensor(v, requires_grad=True) for k, v in raw.items()}
 
 
 def np_gelu(x):
@@ -74,7 +83,7 @@ def test_moe_ffn_matches_dense_oracle():
     params = make_params()
     for _ in range(20):
         u = rng.standard_normal((6, CFG.hidden))
-        got = moe_ffn(Tensor(u), params, "enc.blk0", CFG.moe).data
+        got = add(Tensor(u), moe_mix(Tensor(u), params, "enc.blk0", CFG.moe)).data
         want, _ = moe_oracle(u, params, "enc.blk0", CFG.moe)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -88,7 +97,7 @@ def test_moe_oracle_across_expert_counts():
         )
         params = make_params(cfg, seed=n_r * 10 + k_r)
         u = rng.standard_normal((5, 8))
-        got = moe_ffn(Tensor(u), params, "enc.blk0", cfg.moe).data
+        got = add(Tensor(u), moe_mix(Tensor(u), params, "enc.blk0", cfg.moe)).data
         want, gates = moe_oracle(u, params, "enc.blk0", cfg.moe)
         assert np.allclose(got, want, atol=1e-12)
         assert np.allclose(gates.sum(axis=1), 1.0, atol=1e-9)
@@ -98,7 +107,7 @@ def test_moe_oracle_across_expert_counts():
 def test_moe_gate_sums_and_support():
     rng = np.random.default_rng(3)
     cents = Tensor(rng.standard_normal((5, 8)))
-    gates = moe_gate(Tensor(rng.standard_normal((7, 8))), cents, 2).data
+    gates = topk_gate(Tensor(rng.standard_normal((7, 8))), cents, 2).data
     assert gates.shape == (7, 5)
     assert np.allclose(gates.sum(axis=1), 1.0, atol=1e-12)
     assert np.all((gates > 0).sum(axis=1) == 2)
@@ -108,24 +117,14 @@ def test_moe_gate_orthogonal_tie_picks_lowest_index():
     # u orthogonal to every centroid: all affinities sigmoid(0) = 0.5,
     # top-1 must fall to expert 0 and renormalize to gate exactly 1
     cents = Tensor(np.array([[0, 1.0, 0], [0, 0, 1.0], [0, 1.0, 1.0]]))
-    gates = moe_gate(Tensor(np.array([2.0, 0, 0])), cents, 1).data
-    assert np.array_equal(gates, [1.0, 0.0, 0.0])
+    gates = topk_gate(Tensor(np.array([[2.0, 0, 0]])), cents, 1).data
+    assert np.array_equal(gates, [[1.0, 0.0, 0.0]])
 
 
 def test_moe_gate_tie_among_equal_affinities():
     cents = Tensor(np.zeros((4, 6)))  # all affinities 0.5 regardless of u
-    gates = moe_gate(Tensor(np.ones((3, 6))), cents, 2).data
+    gates = topk_gate(Tensor(np.ones((3, 6))), cents, 2).data
     assert np.array_equal(gates, np.tile([0.5, 0.5, 0, 0], (3, 1)))
-
-
-def test_moe_gate_single_vector_matches_batch():
-    rng = np.random.default_rng(4)
-    cents = Tensor(rng.standard_normal((3, 8)))
-    u = rng.standard_normal(8)
-    single = moe_gate(Tensor(u), cents, 1).data
-    batch = moe_gate(Tensor(u[None, :]), cents, 1).data
-    assert single.shape == (3,)
-    assert np.array_equal(single, batch[0])
 
 
 def test_moe_mix_has_no_residual_but_ffn_does():
@@ -133,15 +132,17 @@ def test_moe_mix_has_no_residual_but_ffn_does():
     params = make_params()
     u = rng.standard_normal((4, CFG.hidden))
     mix = moe_mix(Tensor(u), params, "enc.blk0", CFG.moe).data
-    ffn = moe_ffn(Tensor(u), params, "enc.blk0", CFG.moe).data
-    assert np.allclose(ffn, u + mix, atol=1e-12)
+    ffn = add(Tensor(u), moe_mix(Tensor(u), params, "enc.blk0", CFG.moe)).data
+    want, _ = moe_oracle(u, params, "enc.blk0", CFG.moe)
+    assert np.allclose(mix, want - u, atol=1e-12)
+    assert np.allclose(ffn, want, atol=1e-12)
 
 
 def test_moe_gate_gradient_flows_to_centroids():
     rng = np.random.default_rng(6)
     cents = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
     u = Tensor(rng.standard_normal((5, 8)))
-    backward(tsum(mul(moe_gate(u, cents, 2), Tensor(rng.standard_normal((5, 3))))))
+    backward(tsum(mul(topk_gate(u, cents, 2), Tensor(rng.standard_normal((5, 3))))))
     assert cents.grad is not None
     assert np.any(cents.grad != 0)
 
@@ -154,7 +155,7 @@ def dense_moe_mix(u, params, prefix, cfg):
         h = gelu(linear(u, params[f"{prefix}.{name}.w1"], params[f"{prefix}.{name}.b1"]))
         return linear(h, params[f"{prefix}.{name}.w2"], params[f"{prefix}.{name}.b2"])
 
-    gates = moe_gate(u, params[f"{prefix}.centroids"], cfg.k_routed)
+    gates = topk_gate(u, params[f"{prefix}.centroids"], cfg.k_routed)
     mix = None
     for name in [f"shared{j}" for j in range(cfg.n_shared)]:
         mix = expert(name) if mix is None else add(mix, expert(name))
@@ -205,7 +206,7 @@ def test_unselected_routed_expert_gets_no_grad_and_adamw_treats_it_as_zero():
     cents[2] = cents[0]  # equal affinities; the tie goes to expert 0, so top-1 never picks 2
     gu, got, params = moe_grads(moe_mix, cfg, u, readout, cents)
     wu, want, _ = moe_grads(dense_moe_mix, cfg, u, readout, cents)
-    gates = moe_gate(Tensor(u), params["enc.blk0.centroids"], 1).data
+    gates = topk_gate(Tensor(u), params["enc.blk0.centroids"], 1).data
     assert not gates[:, 2].any() and gates[:, 0].any() and gates[:, 1].any()
     np.testing.assert_allclose(gu, wu, rtol=1e-10)
     unused = [f"enc.blk0.routed2.{w}" for w in ("w1", "b1", "w2", "b2")]
@@ -394,6 +395,10 @@ def test_encoder_config_validation():
         EncoderConfig(conv_channels=(4, 8), strides=(2, 4, 5))
     with pytest.raises(ValueError):
         EncoderConfig(conv_channels=(4, 8), strides=(2, 4), heads=3)
+    for bad in ({"strides": (2, 0)}, {"conv_channels": (0, 8)}, {"heads": 0}, {"layers": -1}):
+        with pytest.raises(ValueError):
+            EncoderConfig(**{"conv_channels": (4, 8), "strides": (2, 4), **bad})
+    assert EncoderConfig(conv_channels=(4, 8), strides=(2, 4), layers=0).layers == 0
 
 
 def test_encoder_downsample_product():

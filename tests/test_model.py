@@ -446,6 +446,29 @@ def test_checkpoint_at_another_rate_is_rejected(tmp_path):
         Codec.load(path)
 
 
+@pytest.mark.parametrize("key,value", [("strides", [0, 4, 5, 4, 2]), ("conv_channels", [8, 0, 32, 32, 64]),
+                                       ("heads", 0), ("layers", -1)])
+def test_checkpoint_with_degenerate_encoder_shape_is_rejected(tmp_path, key, value):
+    # a zero stride or head count once escaped as ZeroDivisionError
+    path = tmp_path / "bad.tckp"
+    save_with_config_key(Codec(CodecConfig.toy(), seed=5), path, "encoder", key, value)
+    with pytest.raises(CheckpointError, match="embedded model config is invalid"):
+        Codec.load(path)
+
+
+def test_checkpoint_with_unnamed_parameter_is_rejected(tmp_path):
+    # a config that names fewer blocks than the file holds must not load
+    # the file as a shallower codec
+    path = tmp_path / "bad.tckp"
+    save_with_config_key(Codec(CodecConfig.toy(), seed=5), path, "encoder", "layers", 1)
+    with pytest.raises(CheckpointError, match="'param/enc.blk1.ln1.g' is not a parameter"):
+        Codec.load(path)
+    codec = Codec(micro_config(), seed=5)
+    ckpt.save_tensors(path, {**codec.state_arrays(), "param/enc.extra": np.zeros(3)})
+    with pytest.raises(CheckpointError, match="'param/enc.extra' is not a parameter"):
+        Codec.load(path)
+
+
 # ---------------------------------------------------------------------------
 # effective-book cache
 

@@ -36,8 +36,8 @@ HIDDEN = 8
 def make_params(seed=0, cfg=CFG):
     raw = init_quantizer_params(cfg, HIDDEN, np.random.default_rng(seed))
     return {
-        "vq.base": Tensor(raw["vq.base"], name="vq.base"),
-        "vq.proj": Tensor(raw["vq.proj"], requires_grad=True, name="vq.proj"),
+        "vq.base": Tensor(raw["vq.base"]),
+        "vq.proj": Tensor(raw["vq.proj"], requires_grad=True),
     }
 
 
