@@ -270,9 +270,9 @@ def _phi_float32(x: np.ndarray) -> np.ndarray:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, x * Phi(x). A float32 input, as in
-    inference, takes Phi from ``_phi_float32``, about three times faster
-    than scipy's float32 ``erf``; any other input, such as training's
-    float64, takes it from scipy's ``erf``."""
+    training and inference, takes Phi from ``_phi_float32``, about three
+    times faster than scipy's float32 ``erf``; any other input, such as the
+    gradient checks' float64, takes it from scipy's ``erf``."""
     x = a.data
     if x.dtype == np.float32:
         cdf = _phi_float32(x)

@@ -261,7 +261,7 @@ class Codec:
         so no float64 copy of the whole checkpoint is held, and encode and
         decode then run in float32, the codebook search's screen included
         (``quantizer.effective_book``); its exact re-rank of the near
-        candidates is float64. Training resumes in float64
+        candidates is float64. Training resumes in float32 too
         (``training.train_stage``).
         """
         arrays = ckpt.load_tensors(path, dtype=np.float32, prefixes=("param/", "meta/config_json"))

@@ -153,6 +153,11 @@ class AdamW:
         self.v = {k: np.zeros_like(v.data) for k, v in self.params.items()}
 
     def step(self, lr: float) -> None:
+        """One update at learning rate ``lr``. The moments and the update
+        stay in each parameter's dtype: ``lr`` is taken as a Python float,
+        since under NumPy 2's promotion a NumPy float64 scalar, such as
+        ``cosine_lr`` returns, would promote a float32 update to float64."""
+        lr = float(lr)
         self.t += 1
         b1, b2 = ADAM_BETAS
         bc1 = 1.0 - b1**self.t
@@ -164,13 +169,18 @@ class AdamW:
             elif not np.all(np.isfinite(g)):
                 raise DivergenceError(f"non-finite gradient for '{name}' at optimizer step {self.t}")
             g = g.astype(p.data.dtype, copy=False)
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
-            new = p.data - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + WEIGHT_DECAY * p.data)
-            # keep the parameter dtype; a float64 lr must not promote float32 weights
-            p.data = new.astype(p.data.dtype, copy=False)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            # lr * (mhat / (sqrt(vhat) + eps) + decay * p), built in one buffer
+            update = np.sqrt(v / bc2)
+            update += ADAM_EPS
+            np.divide(m / bc1, update, out=update)
+            update += WEIGHT_DECAY * p.data
+            update *= lr
+            p.data = p.data - update
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -362,6 +372,11 @@ def train_stage(
     must resume from a checkpoint whose lineage includes a completed
     acoustic stage. If ``init_from`` is a checkpoint of this same stage
     interrupted mid-run, training resumes bit-exactly.
+
+    The stage trains in float32, parameters and AdamW moments alike: a
+    fresh run casts the seeded float64 draws of ``Codec(model_config,
+    seed)``, and a resume casts each floating-point tensor of ``init_from``
+    as it is read, so a float64 checkpoint resumes too.
     """
     if not clips:
         raise TrainingError("empty training set")
@@ -384,8 +399,8 @@ def train_stage(
     opt = None
     rng = None
     if init_from is not None:
-        arrays = ckpt.load_tensors(init_from)
-        codec = Codec._from_arrays(arrays, init_from, np.float64)
+        arrays = ckpt.load_tensors(init_from, dtype=np.float32)
+        codec = Codec._from_arrays(arrays, init_from, np.float32)
         if model_config is not None and model_config != codec.config:
             raise ConfigError(f"the model config differs from the one {init_from} was trained with")
         stage_done = _marker(arrays, "meta/stage_done", init_from)
@@ -413,7 +428,9 @@ def train_stage(
             )
         if model_config is None:
             raise TrainingError("fresh training requires a model config")
-        codec = Codec(model_config, seed=cfg.seed)
+        drawn = Codec(model_config, seed=cfg.seed).params
+        codec = Codec(model_config, params={k: t.data.astype(np.float32) for k, t in drawn.items()})
+        del drawn
         _warm_start_projection(codec, clips, cfg)
 
     if opt is None:

@@ -174,7 +174,8 @@ def test_domain_argument_restricts_stream_ids():
 
 
 def load_float64(path):
-    """The codec saved at ``path`` in float64, built as ``train_stage`` builds it."""
+    """The codec saved at ``path``, kept in float64 where ``Codec.load`` and
+    ``train_stage`` cast to float32, so a float64 codec round-trips exactly."""
     return Codec._from_arrays(ckpt.load_tensors(path), path, np.float64)
 
 

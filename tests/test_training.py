@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tricodec import autodiff
 from tricodec import checkpoint as ckpt
 from tricodec.autodiff import Tensor
 from tricodec.decoder import DecoderConfig
@@ -118,6 +119,25 @@ def test_adamw_two_steps_matches_hand_oracle():
         v = 0.999 * v + 0.001 * g * g
         w = w - 0.05 * ((m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8) + 0.01 * w)
     np.testing.assert_allclose(p.data, w, rtol=0, atol=1e-15)
+
+
+def test_adamw_stays_in_float32_under_a_float64_lr():
+    # cosine_lr returns an np.float64, which NumPy 2 lets promote float32 arrays
+    rng = np.random.default_rng(0)
+    w0, g = rng.standard_normal((2, 64)).astype(np.float32)
+    p = Tensor(w0.copy(), requires_grad=True)
+    p.grad = g.copy()
+    opt = AdamW({"w": p})
+    opt.step(np.float64(0.1))
+    assert p.data.dtype == opt.m["w"].dtype == opt.v["w"].dtype == np.float32
+
+    # the same update in float32 arithmetic throughout; rounding a float64
+    # update to float32 once at the end differs from it in a few elements
+    m = (1.0 - 0.9) * g
+    v = (1.0 - 0.999) * (g * g)
+    want = w0 - 0.1 * ((m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8) + 0.01 * w0)
+    assert want.dtype == np.float32
+    np.testing.assert_array_equal(p.data, want)
 
 
 def test_adamw_missing_grad_decays_weight():
@@ -278,6 +298,71 @@ def test_mid_stage_resume_is_bit_exact(acoustic_run, tmp_path, monkeypatch):
         assert np.array_equal(a[k], b[k]), k
 
 
+def test_float64_checkpoint_resumes_in_float32(tmp_path):
+    # a mid-stage checkpoint as training wrote it in float64: seeded draws
+    # and moments that float32 cannot hold exactly
+    cfg = StageConfig.acoustic(steps=4, batch_size=1, seed=3, lr=1e-3, lr_min=1e-4, log_every=1)
+    codec = Codec(micro_config(), seed=3)
+    arrays = codec.state_arrays()
+    for name in codec.trainable():
+        w = arrays[f"param/{name}"]
+        arrays[f"adam_m/{name}"] = 1e-3 * w + 1e-9
+        arrays[f"adam_v/{name}"] = 1e-6 * w * w + 1e-12
+    for name, value in [("meta/adam_t", 2), ("meta/step", 2), ("meta/stage_done", 0),
+                        ("meta/stage_in_progress", Stage.ACOUSTIC.value)]:
+        arrays[name] = np.asarray(value, dtype=np.int64)
+    arrays["meta/rng_state"] = _rng_to_u64(np.random.default_rng(11))
+    old = tmp_path / "float64.tckp"
+    ckpt.save_tensors(old, arrays)
+    assert arrays["param/enc.conv0.w"].dtype == arrays["adam_v/enc.conv0.w"].dtype == np.float64
+    cast = tmp_path / "float32.tckp"
+    ckpt.save_tensors(cast, {k: v.astype(np.float32) if v.dtype == np.float64 else v for k, v in arrays.items()})
+
+    res = train_stage(micro_clips(), cfg, tmp_path / "from64", init_from=old)
+    records = [json.loads(l) for l in res.log_path.read_text().splitlines()]
+    assert [r["step"] for r in records] == [2, 3]  # resumed mid-stage
+    final = ckpt.load_tensors(res.final_checkpoint)
+    assert int(final["meta/stage_done"]) == Stage.ACOUSTIC.value
+    assert int(final["meta/adam_t"]) == cfg.steps
+    floats = {k: v.dtype for k, v in final.items() if k.startswith(("param/", "adam_"))}
+    assert floats and set(floats.values()) == {np.dtype(np.float32)}
+    # the float64 checkpoint trains on exactly as its float32 rounding does
+    res32 = train_stage(micro_clips(), cfg, tmp_path / "from32", init_from=cast)
+    assert res.final_checkpoint.read_bytes() == res32.final_checkpoint.read_bytes()
+
+
+def test_float32_training_runs_every_op_in_float32(tmp_path, monkeypatch):
+    # a stray float64 constant or gradient would upcast everything downstream of it
+    seen = []
+    make = autodiff._make
+
+    def recording_make(data, parents, backward_fn, op):
+        seen.append((op, "forward", data.dtype))
+
+        def recording_backward(g):
+            grads = tuple(backward_fn(g))
+            seen.extend((op, "backward", np.asarray(pg).dtype) for pg in grads if pg is not None)
+            return grads
+
+        return make(data, parents, recording_backward, op)
+
+    monkeypatch.setattr(autodiff, "_make", recording_make)
+    acfg = StageConfig.acoustic(steps=2, batch_size=2, seed=5)
+    acoustic = train_stage(micro_clips(), acfg, tmp_path / "acoustic", model_config=micro_config())
+    scfg = StageConfig.semantic(steps=2, batch_size=2, seed=5, n_distractors=4)
+    semantic = train_stage(micro_clips(), scfg, tmp_path / "semantic", init_from=acoustic.final_checkpoint)
+    monkeypatch.undo()
+
+    ops = {"conv1d", "rope_attention", "gelu", "linear", "topk_gate", "conv1d_transpose", "tanh",
+           "stft_mag", "l1_distance", "sq_distance", "info_nce", "masked_fill_rows"}
+    assert ops <= {op for op, kind, _ in seen if kind == "backward"}
+    assert [s for s in seen if s[2] != np.float32] == []
+    for res in (acoustic, semantic):
+        arrays = ckpt.load_tensors(res.final_checkpoint)
+        floats = {k: v.dtype for k, v in arrays.items() if k.startswith(("param/", "adam_"))}
+        assert floats and set(floats.values()) == {np.dtype(np.float32)}, res.final_checkpoint
+
+
 def test_semantic_requires_checkpoint():
     cfg = StageConfig.semantic(steps=1, n_distractors=4)
     with pytest.raises(StageOrderError) as e:
@@ -385,8 +470,9 @@ def test_training_clip_runs_each_phase_once(stage, monkeypatch):
 
 def test_divergence_raises_with_step(tmp_path):
     cfg = StageConfig.acoustic(steps=5, batch_size=1, lr=1e20, lr_min=1e19)
-    # the blow-up legitimately overflows float64 on the way to the error
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as e:
+    # the blow-up legitimately overflows float32, and reaches inf - inf in the
+    # convs' shifted sums, on the way to the error
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as e:
         train_stage(micro_clips(), cfg, tmp_path / "boom", model_config=micro_config())
     assert "diverged at step" in str(e.value)
 
@@ -448,7 +534,7 @@ def test_alignment_term_has_unit_weight():
 
 def test_dataset_recon_loss_is_recon_only(acoustic_run):
     cfg, res = acoustic_run
-    # built in float64, the dtype training runs in, as train_stage builds it
+    # built in float64, so that the graph's sums and the float sums below round alike
     codec = Codec._from_arrays(ckpt.load_tensors(res.final_checkpoint), res.final_checkpoint, np.float64)
     clips = micro_clips()
     got = dataset_recon_loss(codec, clips, cfg)
