@@ -4,11 +4,11 @@ Provides exactly the operators the codec graph needs: 1-D convolutions
 (``conv1d`` and its adjoint ``conv1d_transpose``, which crops its output
 by the same ``padding``), arithmetic (``add``, ``mul``), the pointwise
 nonlinearities ``tanh`` and ``gelu``, the reduction ``tsum`` (the tests'
-scalar read-out), ``reshape``,
-indexing (``Tensor.__getitem__``, which also gathers rows by an index
-array), ``masked_fill_rows``, ``index_add_rows`` (which adds a row block
-into given distinct rows: the scatter of the MoE's sparse expert
-dispatch), and a straight-through passthrough for the quantizer.
+scalar read-out), indexing (``Tensor.__getitem__``, which also gathers
+rows by an index array), ``masked_fill_rows``, ``index_add_rows`` (which
+adds a row block into given distinct rows: the scatter of the MoE's
+sparse expert dispatch), and a straight-through passthrough for the
+quantizer.
 The dense layer ``linear`` (x @ w.T + b: the expert FFNs, the router, the
 codebook projection and the mel filterbank), the MoE router's top-k
 sigmoid gate (``topk_gate``), layer norm, rotary-position
@@ -59,7 +59,6 @@ __all__ = [
     "tanh",
     "gelu",
     "tsum",
-    "reshape",
     "masked_fill_rows",
     "index_add_rows",
     "linear",
@@ -378,11 +377,6 @@ def topk_gate(u: Tensor, centroids: Tensor, k: int) -> Tensor:
         return gu, gc
 
     return _make(data, (u, centroids), bwd, "topk_gate")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape)
-    return _make(data, (a,), lambda g: (g.reshape(a.shape),), "reshape")
 
 
 def _getitem(a: Tensor, key) -> Tensor:

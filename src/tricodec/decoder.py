@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, conv1d, conv1d_transpose, gelu, reshape, tanh
+from .autodiff import ShapeError, Tensor, conv1d, conv1d_transpose, gelu, tanh
 
 __all__ = ["OUT_KERNEL", "DecoderConfig", "decoder_param_shapes", "init_decoder_params", "decode"]
 
@@ -70,4 +70,4 @@ def decode(quantized: Tensor, params: dict, strides: tuple) -> Tensor:
         x = gelu(conv1d_transpose(x, params[f"dec.tconv{i}.w"], params[f"dec.tconv{i}.b"], stride=stride, padding=pad))
     half = OUT_KERNEL // 2
     x = conv1d(x, params["dec.out.w"], params["dec.out.b"], stride=1, padding=(half, half))
-    return reshape(tanh(x), (x.shape[0],))
+    return tanh(x)[:, 0]

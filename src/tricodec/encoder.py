@@ -7,6 +7,7 @@ node).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,7 +24,6 @@ from .autodiff import (
     linear,
     masked_fill_rows,
     mul,
-    reshape,
     rope_attention,
     topk_gate,
 )
@@ -32,6 +32,7 @@ __all__ = [
     "MoEConfig",
     "EncoderConfig",
     "encoder_param_shapes",
+    "encoder_param_count",
     "init_encoder_params",
     "conv_encode",
     "moe_mix",
@@ -81,7 +82,7 @@ class EncoderConfig:
 
     @property
     def downsample(self) -> int:
-        return int(np.prod(self.strides))
+        return math.prod(self.strides)  # exact: numpy's int64 product wraps
 
 
 def encoder_param_shapes(cfg: EncoderConfig) -> dict:
@@ -104,6 +105,14 @@ def encoder_param_shapes(cfg: EncoderConfig) -> dict:
         s[f"{pre}.centroids"] = (moe.n_routed, h)
     s.update({"enc.final_ln.g": (h,), "enc.final_ln.b": (h,), "enc.mask_embed": (h,)})
     return s
+
+
+def encoder_param_count(cfg: EncoderConfig) -> int:
+    """``len(encoder_param_shapes(cfg))``, by arithmetic: a weight and a bias
+    per conv stage; per block two norms' gains and biases, four attention
+    matrices, four tensors per expert and the router centroids; then the
+    final norm's gain and bias and the mask embedding."""
+    return 2 * len(cfg.strides) + cfg.layers * (9 + 4 * (cfg.moe.n_shared + cfg.moe.n_routed)) + 3
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict:
@@ -138,14 +147,14 @@ def conv_encode(samples: np.ndarray, params: dict, cfg: EncoderConfig) -> Tensor
     These features double as the contrastive targets of the semantic
     training stage.
     """
-    x = Tensor(samples)
-    if x.ndim != 1:
-        raise ShapeError(f"conv_encode expects a 1-D waveform, got shape {x.shape}")
-    if x.shape[0] < cfg.downsample:
+    samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise ShapeError(f"conv_encode expects a 1-D waveform, got shape {samples.shape}")
+    if len(samples) < cfg.downsample:
         raise ValueError(
-            f"clip of {x.shape[0]} samples is shorter than one frame ({cfg.downsample} samples)"
+            f"clip of {len(samples)} samples is shorter than one frame ({cfg.downsample} samples)"
         )
-    x = reshape(x, (x.shape[0], 1))
+    x = Tensor(samples.reshape(-1, 1))  # (T, 1): one input channel
     last = len(cfg.strides) - 1
     for i, stride in enumerate(cfg.strides):
         x = conv1d(

@@ -6,16 +6,23 @@ evaluation and inference share.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import quantizer
-from .autodiff import Tensor, no_grad
+from .autodiff import NonFiniteError, Tensor, no_grad
 from .decoder import DecoderConfig, decode, decoder_param_shapes, init_decoder_params
-from .encoder import EncoderConfig, MoEConfig, encode_frames, encoder_param_shapes, init_encoder_params
+from .encoder import (
+    EncoderConfig,
+    MoEConfig,
+    encode_frames,
+    encoder_param_count,
+    encoder_param_shapes,
+    init_encoder_params,
+)
 from .quantizer import (
     QuantizerConfig,
     TokenStream,
@@ -88,6 +95,16 @@ class CodecConfig:
             **decoder_param_shapes(self.decoder, self.encoder.hidden, self.encoder.strides),
         }
 
+    def param_count(self) -> int:
+        """``len(self.param_shapes())``, with the encoder's share counted
+        rather than enumerated, since its block and expert counts multiply."""
+        hidden, strides = self.encoder.hidden, self.encoder.strides
+        return (
+            encoder_param_count(self.encoder)
+            + len(quantizer_param_shapes(self.quantizer, hidden))
+            + len(decoder_param_shapes(self.decoder, hidden, strides))
+        )
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -96,12 +113,21 @@ class CodecConfig:
         """Inverse of ``to_dict``. A key that names no field raises
         ``TypeError``: so do an older config's keys of removed options
         (``mlp_dim``, ``base_mean``, ``base_std``, ``sample_rate``) and its
-        copies of the latent width, the strides and the output kernel."""
+        copies of the latent width, the strides and the output kernel. So
+        does a value that is not an integer or a list of integers: a JSON
+        float such as 2.0 passes every range check but indexes nothing."""
         d = dict(d)
         sections = {name: {k: tuple(v) if isinstance(v, list) else v for k, v in d.pop(name).items()}
                     for name in ("encoder", "quantizer", "decoder")}
         encoder = EncoderConfig(**{**sections["encoder"], "moe": MoEConfig(**sections["encoder"]["moe"])})
-        return cls(encoder, QuantizerConfig(**sections["quantizer"]), DecoderConfig(**sections["decoder"]), **d)
+        config = cls(encoder, QuantizerConfig(**sections["quantizer"]), DecoderConfig(**sections["decoder"]), **d)
+        for part in (config.encoder, config.encoder.moe, config.quantizer, config.decoder):
+            for f in fields(part):
+                value = getattr(part, f.name)
+                ints = value if isinstance(value, tuple) else (value,)
+                if not is_dataclass(value) and any(type(v) is not int for v in ints):
+                    raise TypeError(f"'{f.name}' must be an integer or a list of integers, got {value!r}")
+        return config
 
 
 _FROZEN = ("vq.base",)
@@ -145,9 +171,11 @@ class Codec:
     graph training differentiates; inference runs it under ``no_grad``.
     """
 
+    dtype = np.dtype(np.float32)  # every parameter's, in training and inference alike
+
     def __init__(self, config: CodecConfig, seed: int = 0, params: Optional[dict] = None):
-        """A fresh float64 codec drawn from ``seed``, or, given ``params``
-        (arrays of one dtype), the codec holding them, in their dtype."""
+        """A fresh codec drawn from ``seed`` (float64 draws, cast once), or,
+        given ``params``, the codec holding them; in float32 either way."""
         self.config = config
         if params is None:
             enc, rng = config.encoder, np.random.default_rng(seed)
@@ -156,8 +184,7 @@ class Codec:
                 **init_quantizer_params(config.quantizer, enc.hidden, rng),
                 **init_decoder_params(config.decoder, enc.hidden, enc.strides, rng),
             }
-        self.params = {name: Tensor(arr, requires_grad=name not in _FROZEN) for name, arr in params.items()}
-        self.dtype = next(iter(self.params.values())).dtype
+        self.params = {k: Tensor(np.asarray(v, self.dtype), requires_grad=k not in _FROZEN) for k, v in params.items()}
         self._book_cache = None  # (vq.base array, {name: copy of trainable vq.*}, effective_book)
 
     def trainable(self) -> dict:
@@ -253,36 +280,39 @@ class Codec:
 
     @classmethod
     def load(cls, path) -> "Codec":
-        """The codec saved at ``path``, in float32, for inference.
+        """The codec saved at ``path``, for inference.
 
         Only the parameters and the config are read: a training
         checkpoint's optimizer state is skipped unread. Each floating-point
         tensor is cast to float32 as it is read (``checkpoint.load_tensors``),
-        so no float64 copy of the whole checkpoint is held, and encode and
-        decode then run in float32, the codebook search's screen included
-        (``quantizer.effective_book``); its exact re-rank of the near
-        candidates is float64. Training resumes in float32 too
-        (``training.train_stage``).
+        so a float64 checkpoint loads without a float64 copy of the whole
+        of it, and encode and decode run in float32, the codebook search's
+        screen included (``quantizer.effective_book``); its exact re-rank
+        of the near candidates is float64.
         """
-        arrays = ckpt.load_tensors(path, dtype=np.float32, prefixes=("param/", "meta/config_json"))
-        return cls._from_arrays(arrays, path, np.float32)
+        arrays = ckpt.load_tensors(path, dtype=cls.dtype, prefixes=("param/", "meta/config_json"))
+        return cls._from_arrays(arrays, path)
 
     @classmethod
-    def _from_arrays(cls, arrays: dict, path, dtype) -> "Codec":
+    def _from_arrays(cls, arrays: dict, path) -> "Codec":
         """The codec that ``state_arrays`` (as read back from ``path``)
-        describes, every parameter cast to ``dtype``; the arrays are used
-        as they are where they already have it."""
+        describes."""
         if "meta/config_json" not in arrays:
             raise ckpt.CheckpointError(f"{path}: checkpoint lacks an embedded model config")
         try:
             config = CodecConfig.from_dict(json.loads(arrays["meta/config_json"].tobytes().decode("utf-8")))
         except KeyError as e:
             raise ckpt.CheckpointError(f"{path}: embedded model config lacks key {e}") from None
-        except (ValueError, TypeError, AttributeError) as e:  # includes bad UTF-8 and bad JSON
+        except (ValueError, TypeError, AttributeError, RecursionError) as e:  # bad UTF-8, bad or too deep JSON
             raise ckpt.CheckpointError(f"{path}: embedded model config is invalid: {e}") from None
-        params = {
-            k[len("param/") :]: v.astype(dtype, copy=False) for k, v in arrays.items() if k.startswith("param/")
-        }
+        params = {k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")}
+        # counted before the names are enumerated: a config naming far more
+        # tensors than the file holds would take minutes or all memory to list
+        if config.param_count() > len(params):
+            raise ckpt.CheckpointError(
+                f"{path}: embedded model config is invalid: it names {config.param_count()} parameter tensors, "
+                f"the checkpoint holds {len(params)}"
+            )
         shapes = config.param_shapes()
         unnamed = next((name for name in params if name not in shapes), None)
         if unnamed is not None:
@@ -294,4 +324,7 @@ class Codec:
                 raise ckpt.CheckpointError(
                     f"{path}: tensor 'param/{name}' has shape {params[name].shape}, config expects {shape}"
                 )
-        return cls(config, params=params)
+        try:
+            return cls(config, params=params)
+        except NonFiniteError:
+            raise ckpt.CheckpointError(f"{path}: a parameter tensor holds NaN or Inf") from None

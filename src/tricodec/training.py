@@ -373,10 +373,9 @@ def train_stage(
     acoustic stage. If ``init_from`` is a checkpoint of this same stage
     interrupted mid-run, training resumes bit-exactly.
 
-    The stage trains in float32, parameters and AdamW moments alike: a
-    fresh run casts the seeded float64 draws of ``Codec(model_config,
-    seed)``, and a resume casts each floating-point tensor of ``init_from``
-    as it is read, so a float64 checkpoint resumes too.
+    The stage trains in float32, the ``Codec`` dtype, parameters and AdamW
+    moments alike: a resume casts each floating-point tensor of
+    ``init_from`` as it is read, so a float64 checkpoint resumes too.
     """
     if not clips:
         raise TrainingError("empty training set")
@@ -399,8 +398,8 @@ def train_stage(
     opt = None
     rng = None
     if init_from is not None:
-        arrays = ckpt.load_tensors(init_from, dtype=np.float32)
-        codec = Codec._from_arrays(arrays, init_from, np.float32)
+        arrays = ckpt.load_tensors(init_from, dtype=Codec.dtype)
+        codec = Codec._from_arrays(arrays, init_from)
         if model_config is not None and model_config != codec.config:
             raise ConfigError(f"the model config differs from the one {init_from} was trained with")
         stage_done = _marker(arrays, "meta/stage_done", init_from)
@@ -428,9 +427,7 @@ def train_stage(
             )
         if model_config is None:
             raise TrainingError("fresh training requires a model config")
-        drawn = Codec(model_config, seed=cfg.seed).params
-        codec = Codec(model_config, params={k: t.data.astype(np.float32) for k, t in drawn.items()})
-        del drawn
+        codec = Codec(model_config, seed=cfg.seed)
         _warm_start_projection(codec, clips, cfg)
 
     if opt is None:

@@ -425,7 +425,7 @@ def test_bad_checkpoint_categorized(workdir, capsys):
 
 
 @pytest.mark.parametrize(
-    "variant", ["not-utf8", "not-json", "no-encoder", "no-quantizer", "no-decoder",
+    "variant", ["not-utf8", "not-json", "too-deep-json", "no-encoder", "no-quantizer", "no-decoder",
                 "unknown-key", "empty-strides", "no-conv0", "no-dec.out.b", "short-vq.proj"],
 )
 def test_decode_doctored_checkpoint_categorized(workdir, capsys, variant):
@@ -435,6 +435,8 @@ def test_decode_doctored_checkpoint_categorized(workdir, capsys, variant):
         raw = b"\xff\xfe" + arrays["meta/config_json"].tobytes()
     elif variant == "not-json":
         raw = b"{not json"
+    elif variant == "too-deep-json":  # json.loads raises RecursionError
+        raw = b"[" * 100_000 + b"]" * 100_000
     elif variant == "unknown-key":
         raw = json.dumps({**cfg, "mystery": 1}).encode()
     elif variant == "empty-strides":

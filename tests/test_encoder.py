@@ -361,7 +361,6 @@ def test_encode_frames_mask_embedding_reaches_transformer():
     mask = np.array([True, True, True, True, True])
     frames_a, _ = encode_frames(x, params, CFG, mask=mask)
     # all-masked input equals running the transformer on pure mask embeddings
-    from tricodec.autodiff import reshape
     emb = params["enc.mask_embed"]
     stacked = Tensor(np.tile(emb.data, (5, 1)))
     want = transformer_encode(stacked, params, CFG)

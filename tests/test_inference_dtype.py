@@ -1,14 +1,21 @@
 """float32 inference: ``Codec.load`` casts a float64 checkpoint to float32,
 which must pick the same tokens and reconstruct as well as the float64
-codec it was saved from, with no op silently running in float64."""
+weights it holds, run on the functional layer, with no op silently
+running in float64."""
+
+import json
 
 import numpy as np
 import pytest
 
 from tricodec import autodiff
-from tricodec.autodiff import no_grad
+from tricodec import checkpoint as ckpt
+from tricodec.autodiff import Tensor, no_grad
+from tricodec.decoder import decode
+from tricodec.encoder import encode_frames
 from tricodec.losses import mel_distance
 from tricodec.model import Codec, CodecConfig
+from tricodec.quantizer import effective_book, quantize
 from tricodec.signal import AudioClip, gen_toy_dataset
 
 SEED = 5
@@ -20,31 +27,48 @@ def clips_for(preset):
     return gen_toy_dataset(SEED, 1, 1.0) + gen_toy_dataset(SEED, 1, 6.0)[:1]
 
 
-def round_trips(codec, clips):
+def round_trips(forward, clips):
     """Per clip: ids, float64 frames, and the mel distance of the
-    reconstruction from the clip."""
+    reconstruction from the clip, where ``forward(samples)`` returns the
+    frames, the token stream and the decoded wave."""
     out = []
     with no_grad():
         for clip in clips:
-            fp = codec.forward(clip.samples, decode=True)
-            mel = mel_distance(clip, AudioClip(fp.wave.data, clip.sample_rate))
-            out.append((fp.stream.ids, np.asarray(fp.frames.data, dtype=np.float64), mel))
+            frames, stream, wave = forward(clip.samples)
+            mel = mel_distance(clip, AudioClip(wave.data, clip.sample_rate))
+            out.append((stream.ids, np.asarray(frames.data, dtype=np.float64), mel))
     return out
 
 
 @pytest.mark.parametrize("preset", ["toy", "full"])
-def test_float32_load_agrees_with_float64(tmp_path, preset):
+def test_float32_load_agrees_with_float64(tmp_path, preset, float64_draws):
     config = CodecConfig.toy() if preset == "toy" else CodecConfig.full()
     clips = clips_for(preset)
     path = tmp_path / "c.tckp"
-    codec = Codec(config, seed=SEED)
-    codec.save(path)
-    ref = round_trips(codec, clips)
-    book, sq = codec._effective_book()
-    del codec  # the float64 weights are no longer needed
+    draws = float64_draws(config, SEED)
+    cfg_json = np.frombuffer(json.dumps(config.to_dict()).encode(), dtype=np.uint8)
+    ckpt.save_tensors(path, {**{f"param/{k}": v for k, v in draws.items()}, "meta/config_json": cfg_json})
+    params = {k: Tensor(v) for k, v in draws.items()}
+    del draws
+    book, sq = effective_book(params)
+
+    def forward64(x):
+        # Codec.forward(x, decode=True) in float64; the clips are whole frames
+        frames, _ = encode_frames(x, params, config.encoder)
+        stream, quantized = quantize(frames, params, config.quantizer, frame_rate=config.tokens_per_second,
+                                     book=(book, sq))
+        return frames, stream, decode(quantized, params, config.encoder.strides)
+
+    ref = round_trips(forward64, clips)
+    del params  # the float64 weights are no longer needed
     codec32 = Codec.load(path)
     assert codec32.dtype == np.float32
-    got = round_trips(codec32, clips)
+
+    def forward32(x):
+        fp = codec32.forward(x, decode=True)
+        return fp.frames, fp.stream, fp.wave
+
+    got = round_trips(forward32, clips)
 
     frames = agree = 0
     lines = []

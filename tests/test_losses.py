@@ -196,19 +196,21 @@ def test_reconstruction_constant_offset_time_term():
 def test_reconstruction_lam_mel_scales_mel_term():
     # training's reconstruction loss is time L1 + the stage's mel weight * mel
     # L1: 45 for acoustic (and semantic), 450 for fine-tune, which the
-    # dataset readout must keep rather than score as acoustic
+    # dataset readout must keep rather than score as acoustic; the sum is
+    # the graph's, in the codec dtype
     codec = Codec(CodecConfig.toy(), seed=3)
     rng = np.random.default_rng(11)
     clip = AudioClip(np.clip(rng.standard_normal(2560) * 0.3, -1, 1), 24000, Domain.SPEECH)
-    frames, _ = codec.encode_frames(clip.samples)
+    x = clip.samples.astype(codec.dtype)
+    frames, _ = codec.encode_frames(x)
     _, quantized = codec.quantize(frames, domain=Domain.SPEECH)
-    t1, m1 = reconstruction_terms(Tensor(clip.samples), codec.decode_frames(quantized))
-    l45 = dataset_recon_loss(codec, [clip], StageConfig.acoustic())
-    l450 = dataset_recon_loss(codec, [clip], StageConfig.finetune())
+    t1, m1 = reconstruction_terms(Tensor(x), codec.decode_frames(quantized))
     assert float(m1.data) > 0.0
-    assert abs((l450 - l45) - 405.0 * float(m1.data)) < 1e-9
-    assert abs(l45 - (float(t1.data) + 45.0 * float(m1.data))) < 1e-9
-    assert dataset_recon_loss(codec, [clip], StageConfig.semantic()) == l45
+    stages = (StageConfig.acoustic(), StageConfig.finetune(), StageConfig.semantic())
+    assert [cfg.lam_mel for cfg in stages] == [45.0, 450.0, 45.0]
+    for cfg in stages:
+        want = add(t1, mul(Tensor(np.asarray(cfg.lam_mel, dtype=codec.dtype)), m1))
+        assert dataset_recon_loss(codec, [clip], cfg) == float(want.data), cfg.stage
 
 
 def test_reconstruction_mel_matches_signal_mel():

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricodec import checkpoint as ckpt
 from tricodec import quantizer, training
@@ -98,7 +100,7 @@ def test_preset_architecture_is_pinned(preset, layers, tensors, total, trainable
     shapes = getattr(CodecConfig, preset)().param_shapes()
     experts = ("shared0", "routed0", "routed1", "routed2")
     assert list(shapes) == preset_names(layers, experts)
-    assert len(shapes) == tensors
+    assert len(shapes) == tensors == getattr(CodecConfig, preset)().param_count()
     sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
     assert sum(sizes.values()) == total
     assert total - sizes["vq.base"] == trainable
@@ -130,10 +132,15 @@ def test_init_deterministic_and_frozen_base():
     assert "vq.proj" in a.trainable()
 
 
-def test_default_dtype_is_float64():
-    codec = Codec(micro_config())
-    assert codec.dtype == np.float64
-    assert codec.params["enc.conv0.w"].data.dtype == np.float64
+def test_seeded_codec_holds_its_float64_draws_in_float32(float64_draws):
+    codec = Codec(micro_config(), seed=3)
+    draws = float64_draws(micro_config(), 3)
+    assert codec.dtype == np.float32
+    assert list(codec.params) == list(draws)
+    for k, v in draws.items():
+        got = codec.params[k].data
+        assert v.dtype == np.float64 and got.dtype == np.float32, k
+        assert np.array_equal(got, v.astype(np.float32)), k
 
 
 def test_encode_rejects_wrong_rate():
@@ -173,17 +180,18 @@ def test_domain_argument_restricts_stream_ids():
     assert ids.min() >= 4 and ids.max() < 8
 
 
-def load_float64(path):
-    """The codec saved at ``path``, kept in float64 where ``Codec.load`` and
-    ``train_stage`` cast to float32, so a float64 codec round-trips exactly."""
-    return Codec._from_arrays(ckpt.load_tensors(path), path, np.float64)
+def save_float64(codec, path):
+    """Save ``codec`` with its parameters upcast to float64, as a checkpoint
+    written before every codec held float32 stores them."""
+    arrays = codec.state_arrays()
+    ckpt.save_tensors(path, {k: v.astype(np.float64) if k.startswith("param/") else v for k, v in arrays.items()})
 
 
 def test_save_load_round_trip(tmp_path):
     codec = Codec(micro_config(), seed=9)
     p = tmp_path / "c.tckp"
     codec.save(p)
-    loaded = load_float64(p)
+    loaded = Codec.load(p)
     assert loaded.config == codec.config
     assert loaded.dtype == codec.dtype
     assert set(loaded.params) == set(codec.params)
@@ -200,7 +208,8 @@ def test_save_load_round_trip(tmp_path):
 def test_load_defaults_to_float32(tmp_path):
     codec = Codec(micro_config(), seed=9)
     p = tmp_path / "c.tckp"
-    codec.save(p)
+    save_float64(codec, p)
+    assert ckpt.load_tensors(p)["param/enc.conv0.w"].dtype == np.float64
     loaded = Codec.load(p)
     assert loaded.dtype == np.float32
     assert list(loaded.params) == list(codec.params)
@@ -216,8 +225,7 @@ def test_mixed_dtype_checkpoint_loads_in_float32(tmp_path):
     # no one tensor's stored dtype decides the codec's
     arrays = Codec(micro_config(), seed=9).state_arrays()
     names = [k for k in arrays if k.startswith("param/")]
-    for k in names[1:]:
-        arrays[k] = arrays[k].astype(np.float32)
+    arrays[names[0]] = arrays[names[0]].astype(np.float64)
     p = tmp_path / "mixed.tckp"
     ckpt.save_tensors(p, arrays)
     loaded = Codec.load(p)
@@ -234,9 +242,9 @@ def test_float32_load_never_holds_the_float64_checkpoint(tmp_path):
     # copies never coexist
     codec = Codec(CodecConfig.toy(), seed=5)
     p = tmp_path / "c.tckp"
-    codec.save(p)
-    payload = sum(t.data.nbytes for t in codec.params.values())
-    largest = max(t.data.nbytes for t in codec.params.values())
+    save_float64(codec, p)
+    payload = sum(8 * t.data.size for t in codec.params.values())
+    largest = max(8 * t.data.size for t in codec.params.values())
     tracemalloc.start()
     try:
         loaded = Codec.load(p)
@@ -344,7 +352,7 @@ def test_forward_record_matches_explicit_chain(mask):
     m[100:140] = mask
     out = codec.forward(x, domain=Domain.MUSIC, mask=m if mask else None, decode=True)
 
-    whole = x[:2000]
+    whole = x[:2000].astype(codec.dtype)
     frames, conv = codec.encode_frames(whole, mask=m if mask else None)
     stream, quantized = codec.quantize(frames, domain=Domain.MUSIC)
     wave = codec.decode_frames(quantized)
@@ -447,14 +455,75 @@ def test_checkpoint_at_another_rate_is_rejected(tmp_path):
         Codec.load(path)
 
 
-@pytest.mark.parametrize("key,value", [("strides", [0, 4, 5, 4, 2]), ("conv_channels", [8, 0, 32, 32, 64]),
-                                       ("heads", 0), ("layers", -1)])
+TOY_MOE = {"n_shared": 1, "n_routed": 3, "k_routed": 1, "expert_dim": 128}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("strides", [0, 4, 5, 4, 2]), ("conv_channels", [8, 0, 32, 32, 64]), ("heads", 0), ("layers", -1),
+    # the strides' product is 2^80, which an int64 product wraps to 0
+    ("strides", [2**40, 2**40, 5, 4, 2]),
+    # a parameter count this large once took minutes or all memory to enumerate
+    ("layers", 2**40), ("moe", {**TOY_MOE, "n_shared": 2**40}), ("moe", {**TOY_MOE, "n_shared": 3_000_000}),
+    # JSON floats pass every range check but index nothing
+    ("heads", 2.0), ("layers", 2.0), ("moe", {**TOY_MOE, "k_routed": 1.0}),
+])
 def test_checkpoint_with_degenerate_encoder_shape_is_rejected(tmp_path, key, value):
     # a zero stride or head count once escaped as ZeroDivisionError
     path = tmp_path / "bad.tckp"
     save_with_config_key(Codec(CodecConfig.toy(), seed=5), path, "encoder", key, value)
     with pytest.raises(CheckpointError, match="embedded model config is invalid"):
         Codec.load(path)
+
+
+def config_int_paths(node, at=()):
+    """The path of each integer in a config dict from ``to_dict``."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from config_int_paths(value, at + (key,))
+        elif isinstance(value, tuple):
+            yield from (at + (key, i) for i in range(len(value)))
+        else:
+            yield at + (key,)
+
+
+def test_embedded_config_integers_load_or_raise_checkpoint_error(tmp_path):
+    # any one integer of the embedded config set to a small or huge integer,
+    # an integral float or a bool: the checkpoint loads a codec that
+    # encodes, or Codec.load raises CheckpointError
+    codec = Codec(micro_config(), seed=5)
+    path = tmp_path / "c.tckp"
+    arrays = codec.state_arrays()
+    values = st.one_of(st.integers(-2, 20), st.integers(2**20, 2**80), st.integers(0, 20).map(float), st.booleans())
+
+    @settings(max_examples=150, deadline=None)
+    @given(where=st.sampled_from(list(config_int_paths(codec.config.to_dict()))), value=values)
+    def check(where, value):
+        cfg = json.loads(json.dumps(codec.config.to_dict()))
+        node = cfg
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        arrays["meta/config_json"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
+        ckpt.save_tensors(path, arrays)
+        try:
+            loaded = Codec.load(path)
+        except CheckpointError:
+            return
+        assert loaded.encode(tone(400)).ids.shape == (100,)
+
+    check()
+
+
+def test_checkpoint_with_non_finite_parameter_is_rejected(tmp_path):
+    # a damaged payload can decode to NaN or Inf, which once escaped as the
+    # autodiff's NonFiniteError
+    arrays = Codec(micro_config(), seed=5).state_arrays()
+    path = tmp_path / "bad.tckp"
+    for bad in (np.nan, np.inf):
+        arrays["param/dec.out.b"] = np.array([bad], dtype=np.float32)
+        ckpt.save_tensors(path, arrays)
+        with pytest.raises(CheckpointError, match="NaN or Inf"):
+            Codec.load(path)
 
 
 def test_checkpoint_with_unnamed_parameter_is_rejected(tmp_path):

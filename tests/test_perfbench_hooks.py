@@ -53,7 +53,7 @@ def test_install_wraps_and_restore_puts_back(name, traced):
 
 def test_traced_round_trip_reaches_every_inference_layer(tmp_path):
     # one setup and round trip as the inference workloads run them, on a
-    # float32 codec loaded from a saved float64 checkpoint, must open a span
+    # codec loaded from a saved checkpoint, must open a span
     # for each wrapped name on the inference path; a renamed or bypassed
     # function would leave its traced metric at zero
     path = tmp_path / "in.wav"

@@ -7,7 +7,7 @@ import pytest
 
 from tricodec import autodiff
 from tricodec import checkpoint as ckpt
-from tricodec.autodiff import Tensor
+from tricodec.autodiff import Tensor, add, mul
 from tricodec.decoder import DecoderConfig
 from tricodec.encoder import EncoderConfig, MoEConfig
 from tricodec.model import Codec, CodecConfig
@@ -298,12 +298,14 @@ def test_mid_stage_resume_is_bit_exact(acoustic_run, tmp_path, monkeypatch):
         assert np.array_equal(a[k], b[k]), k
 
 
-def test_float64_checkpoint_resumes_in_float32(tmp_path):
-    # a mid-stage checkpoint as training wrote it in float64: seeded draws
-    # and moments that float32 cannot hold exactly
+def test_float64_checkpoint_resumes_in_float32(tmp_path, float64_draws):
+    # a mid-stage checkpoint as training wrote it in float64, before every
+    # codec held float32: seeded draws and moments that float32 cannot hold
+    # exactly
     cfg = StageConfig.acoustic(steps=4, batch_size=1, seed=3, lr=1e-3, lr_min=1e-4, log_every=1)
     codec = Codec(micro_config(), seed=3)
     arrays = codec.state_arrays()
+    arrays.update({f"param/{k}": v for k, v in float64_draws(micro_config(), 3).items()})
     for name in codec.trainable():
         w = arrays[f"param/{name}"]
         arrays[f"adam_m/{name}"] = 1e-3 * w + 1e-9
@@ -524,32 +526,33 @@ def test_alignment_term_has_unit_weight():
     codec = Codec(micro_config(), seed=4)
     clip = micro_clips()[0]
     terms = _sample_losses(codec, clip, StageConfig.acoustic(), np.random.default_rng(0))
-    frames, _ = codec.encode_frames(clip.samples)
+    frames, _ = codec.encode_frames(clip.samples.astype(codec.dtype))
     stream, _ = codec.quantize(frames, domain=clip.domain)
     want = alignment_loss(frames, simvq_embed(stream.ids, codec.params))
     assert float(terms["align"].data) == float(want.data) > 0.0
-    recon, commit, align = (float(terms[k].data) for k in ("recon", "commit", "align"))
-    assert float(terms["loss"].data) == recon + (commit + align)
+    # float32 sums, built with the graph's own op
+    loss = add(terms["recon"], add(terms["commit"], terms["align"]))
+    assert float(terms["loss"].data) == float(loss.data)
 
 
 def test_dataset_recon_loss_is_recon_only(acoustic_run):
     cfg, res = acoustic_run
-    # built in float64, so that the graph's sums and the float sums below round alike
-    codec = Codec._from_arrays(ckpt.load_tensors(res.final_checkpoint), res.final_checkpoint, np.float64)
+    codec = Codec.load(res.final_checkpoint)
     clips = micro_clips()
     got = dataset_recon_loss(codec, clips, cfg)
 
-    from tricodec.autodiff import Tensor as T
     from tricodec.losses import reconstruction_terms
 
+    # float32 sums, built with the graph's own ops
+    lam = Tensor(np.asarray(cfg.lam_mel, dtype=codec.dtype))
     vals = []
     for clip in clips:
         x = clip.samples[: (len(clip.samples) // 4) * 4].astype(codec.dtype)
         frames, _ = codec.encode_frames(x)
         _, quantized = codec.quantize(frames, domain=clip.domain)
         wave = codec.decode_frames(quantized)
-        tl, ml = reconstruction_terms(T(x), wave)
-        vals.append(float(tl.data) + cfg.lam_mel * float(ml.data))
+        tl, ml = reconstruction_terms(Tensor(x), wave)
+        vals.append(float(add(tl, mul(lam, ml)).data))
     assert got == pytest.approx(np.mean(vals), rel=0, abs=0)
 
 
