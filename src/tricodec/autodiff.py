@@ -43,7 +43,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -271,11 +270,16 @@ def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, x * Phi(x). A float32 input, as in
     training and inference, takes Phi from ``_phi_float32``, about three
     times faster than scipy's float32 ``erf``; any other input, such as the
-    gradient checks' float64, takes it from scipy's ``erf``."""
+    gradient checks' float64, takes it from scipy's ``erf``. scipy is
+    imported here, on the first such call, so that importing the package
+    (and every float32 process) loads no scipy module: ``scipy.special``
+    alone costs about a quarter of a second."""
     x = a.data
     if x.dtype == np.float32:
         cdf = _phi_float32(x)
     else:
+        from scipy.special import erf
+
         # Phi(x) = 0.5 (1 + erf(x / sqrt 2)), built in one buffer
         cdf = np.asarray(x * _INV_SQRT2)  # an array also for 0-d x, so out= can take it
         erf(cdf, out=cdf)

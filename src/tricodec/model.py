@@ -184,7 +184,13 @@ class Codec:
                 **init_quantizer_params(config.quantizer, enc.hidden, rng),
                 **init_decoder_params(config.decoder, enc.hidden, enc.strides, rng),
             }
-        self.params = {k: Tensor(np.asarray(v, self.dtype), requires_grad=k not in _FROZEN) for k, v in params.items()}
+        else:
+            params = dict(params)  # emptied below; the caller's dict is left as it is
+        # each array is popped as it is cast, so the float64 draws and all
+        # their float32 copies never coexist
+        self.params = {}
+        for k in list(params):
+            self.params[k] = Tensor(np.asarray(params.pop(k), self.dtype), requires_grad=k not in _FROZEN)
         self._book_cache = None  # (vq.base array, {name: copy of trainable vq.*}, effective_book)
 
     def trainable(self) -> dict:

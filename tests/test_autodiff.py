@@ -1,6 +1,9 @@
 """Gradient and shape contracts for the reverse-mode tensor core."""
 
 import ast
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import zlib
@@ -106,6 +109,28 @@ def test_gelu_float64_is_the_scipy_erf_form():
     cdf += 1.0
     cdf *= 0.5
     assert np.array_equal(gelu(Tensor(x)).data, x * cdf)
+
+
+def test_scipy_loads_only_with_the_first_float64_gelu():
+    # a float32 process (every cli command) never needs scipy.special, whose
+    # import alone took about a quarter of a second of each cold start
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import tricodec.cli\n"
+        "from tricodec.autodiff import Tensor, gelu\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(scipy())\n"
+        "gelu(Tensor(np.linspace(-3.0, 3.0, 7, dtype=np.float32)))\n"
+        "print(scipy())\n"
+        "gelu(Tensor(np.linspace(-3.0, 3.0, 7)))\n"
+        "print('scipy.special' in scipy())\n"
+    )
+    src = str(Path(autodiff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[]", "True"]
 
 
 def test_gelu_backward_is_the_plain_expression_to_the_bit():

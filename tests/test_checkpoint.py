@@ -18,8 +18,15 @@ def sample_arrays():
         "meta/step": np.asarray(17, dtype=np.int64),
         "ids": np.array([1, 2, 70000], dtype=np.uint32),
         "small": np.array([3, 4], dtype=np.uint16),
-        "blob": np.frombuffer(b"hello", dtype=np.uint8).copy(),
+        "state": np.array([2**64 - 1, 0, 12345], dtype=np.uint64),
+        "blob": np.frombuffer(b"hello", dtype=np.uint8).copy(),  # odd length, like the config JSON
     }
+
+
+def assert_arena_view(arr, name):
+    """A loaded tensor is a C-contiguous, writeable, 64-byte-aligned slice."""
+    assert arr.flags.c_contiguous and arr.flags.writeable, name
+    assert arr.ctypes.data % 64 == 0, name
 
 
 def test_round_trip_all_dtypes(tmp_path):
@@ -31,6 +38,7 @@ def test_round_trip_all_dtypes(tmp_path):
     for name, arr in arrays.items():
         assert back[name].dtype == arr.dtype, name
         assert np.array_equal(back[name], arr), name
+        assert_arena_view(back[name], name)
 
 
 def test_round_trip_zero_dim_and_empty(tmp_path):
@@ -160,6 +168,7 @@ def test_load_converts_floating_tensors(tmp_path, dtype):
         want = arr.astype(dtype) if arr.dtype.kind == "f" else arr
         assert back[name].dtype == want.dtype, name
         assert np.array_equal(back[name], want), name
+        assert_arena_view(back[name], name)
 
 
 def test_load_prefixes_reads_only_matching_records(tmp_path):

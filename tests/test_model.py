@@ -143,6 +143,25 @@ def test_seeded_codec_holds_its_float64_draws_in_float32(float64_draws):
         assert np.array_equal(got, v.astype(np.float32)), k
 
 
+def test_seeded_codec_peak_is_its_float64_draws_and_one_tensor():
+    # Codec(config, seed) holds all its float64 draws at once, then pops each
+    # as it is cast: the float64 left plus the float32 made never exceeds the
+    # draws, and one tensor's worth covers what exists beside them at any
+    # moment (a draw's temporary, or the tensor being cast with its finite
+    # check). Holding every draw until all were cast peaked at 1.5 times the
+    # draws.
+    Codec(CodecConfig.toy(), seed=0)  # lazy imports and caches, outside the trace
+    tracemalloc.start()
+    try:
+        codec = Codec(CodecConfig.toy(), seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    draws = sum(8 * t.data.size for t in codec.params.values())
+    largest = max(8 * t.data.size for t in codec.params.values())
+    assert peak < draws + largest, f"peak {peak} for {draws} bytes of float64 draws"
+
+
 def test_encode_rejects_wrong_rate():
     codec = Codec(micro_config())
     clip = AudioClip(np.zeros(16000), 16000, Domain.SPEECH)
@@ -280,20 +299,24 @@ def test_float32_encode_memory_grows_linearly_in_clip_length(tmp_path):
 
 def test_load_skips_the_optimizer_state(tmp_path):
     # a training checkpoint also holds AdamW's two moments per trainable
-    # parameter; Codec.load seeks past them, so its peak stays below what
-    # holding the float32 parameters and moments together would take
+    # parameter; Codec.load seeks past them and its arena holds only the
+    # parameters and the config, so its peak stays within the float32
+    # parameters plus 128 KiB (the config, the arena's alignment, the finite
+    # check's mask and the Python objects), well under one moment set
     codec = Codec(CodecConfig.toy(), seed=5)
     p = tmp_path / "train.tckp"
     training._save_state(p, codec, training.AdamW(codec.trainable()), np.random.default_rng(0), 0, 1, 0)
     params = sum(t.data.size for t in codec.params.values()) * 4
     moments = sum(2 * t.data.size for t in codec.trainable().values()) * 4
+    slack = 128 << 10
+    Codec.load(p)  # lazy imports, outside the trace
     tracemalloc.start()
     try:
         loaded = Codec.load(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < params + moments, f"peak {peak} for {params} bytes of parameters and {moments} of moments"
+    assert peak < params + slack, f"peak {peak} for {params} bytes of parameters and {moments} of moments"
     for k, v in codec.params.items():
         assert np.array_equal(loaded.params[k].data, v.data.astype(np.float32)), k
 
