@@ -25,7 +25,9 @@ concurrently.
 Inside a ``no_grad()`` block ops record no parents and no backward rule,
 so a forward pass that is never differentiated holds only the arrays it
 still references. The codec's inference paths (encode, decode, eval) and
-the trainer's evaluation passes run this way. The switch is a context
+the trainer's evaluation passes run this way, and there ``rope_attention``
+runs its queries in blocks and ``frame_chunks`` runs a conv stack in
+chunks of frames, both to the bit of one pass. The switch is a context
 variable: it covers the current thread or task only, and a new thread
 starts with graphs on.
 
@@ -53,6 +55,7 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     "no_grad",
+    "frame_chunks",
     "add",
     "mul",
     "tanh",
@@ -85,6 +88,11 @@ _AS_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
 # ``rope_attention`` when it records no graph
 _PHI_SLICE = 65536
 _ATTN_BLOCK = 256
+
+# most frames per chunk of ``frame_chunks``, and the frames of context each
+# chunk carries on either side
+CHUNK_FRAMES = 128
+HALO_FRAMES = 2
 
 
 class AutodiffError(Exception):
@@ -229,24 +237,28 @@ def tanh(a: Tensor) -> Tensor:
     return _make(data, (a,), lambda g: (g * (1.0 - data * data),), "tanh")
 
 
-def _phi_float32(x: np.ndarray) -> np.ndarray:
-    """Phi(x) of a float32 array from numpy ops alone (A&S 7.1.26). It is
-    within 3e-7 of the exact CDF, a few float32 ulps: A&S's own error is
-    7.5e-8 here, the rest is the float32 Horner sum.
+def _phi_float32(x: np.ndarray, times_x: bool = False) -> np.ndarray:
+    """Phi(x) of a float32 array from numpy ops alone (A&S 7.1.26), or with
+    ``times_x`` GELU's x * Phi(x). Phi is within 3e-7 of the exact CDF, a
+    few float32 ulps: A&S's own error is 7.5e-8 here, the rest is the
+    float32 Horner sum.
 
     The flattened input runs in slices of ``_PHI_SLICE`` elements (256 kB
     of float32), each built in its slice of the one output with two
-    slice-sized scratch buffers, so the passes stay in cache and no
-    full-size temporary is made. Each element sees the same operations as
-    in one pass over the whole array, so the result is the same to the bit.
+    slice-sized scratch buffers (three with ``times_x``, whose Phi lives
+    only in a slice), so the passes stay in cache and no full-size
+    temporary is made. Each element sees the same operations as in one
+    pass over the whole array, so the result is the same to the bit.
     """
     shape, x = x.shape, x.reshape(-1)  # 1-d, so out= also takes a 0-d input
     out = np.empty_like(x)
     a_buf = np.empty(min(x.size, _PHI_SLICE), x.dtype)
     t_buf = np.empty_like(a_buf)
+    q_buf = np.empty_like(a_buf) if times_x else None
     for s in range(0, x.size, _PHI_SLICE):
-        xs, q = x[s : s + _PHI_SLICE], out[s : s + _PHI_SLICE]
+        xs, o = x[s : s + _PHI_SLICE], out[s : s + _PHI_SLICE]
         a, t = a_buf[: len(xs)], t_buf[: len(xs)]
+        q = q_buf[: len(xs)] if times_x else o
         np.abs(xs, out=a)
         np.multiply(a, _AS_P * _INV_SQRT2, out=t)
         t += 1.0
@@ -263,6 +275,8 @@ def _phi_float32(x: np.ndarray) -> np.ndarray:
         q += 0.5  # Phi(|x|) - 1/2
         np.copysign(q, xs, out=q)
         q += 0.5
+        if times_x:
+            np.multiply(xs, q, out=o)
     return out.reshape(shape)
 
 
@@ -273,8 +287,12 @@ def gelu(a: Tensor) -> Tensor:
     gradient checks' float64, takes it from scipy's ``erf``. scipy is
     imported here, on the first such call, so that importing the package
     (and every float32 process) loads no scipy module: ``scipy.special``
-    alone costs about a quarter of a second."""
+    alone costs about a quarter of a second. Without a graph to record, a
+    float32 GELU keeps no Phi array: ``_phi_float32`` forms x * Phi(x)
+    slice by slice."""
     x = a.data
+    if x.dtype == np.float32 and not _records((a,)):
+        return _make(_phi_float32(x, times_x=True), (a,), None, "gelu")
     if x.dtype == np.float32:
         cdf = _phi_float32(x)
     else:
@@ -561,7 +579,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding=0) -> Tenso
     wp = np.zeros((nb * stride, c_in, c_out), dtype=w.dtype)
     wp[:k] = w.data.transpose(2, 1, 0)
     wb = wp.reshape(nb, stride * c_in, c_out)
-    data = _shift_sum(xb, wb, t_out) + b.data
+    data = _shift_sum(xb, wb, t_out)
+    data += b.data
 
     def bwd(g):
         gw = _shift_outer(xb, g, nb).reshape(nb * stride, c_in, c_out)[:k].transpose(2, 1, 0)
@@ -603,7 +622,8 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding=0
     wp = np.zeros((nb * stride, c_in, c_out), dtype=w.dtype)
     wp[:k] = w.data.transpose(2, 0, 1)
     wb = wp.reshape(nb, stride, c_in, c_out).transpose(0, 2, 1, 3).reshape(nb, c_in, stride * c_out)
-    data = _shift_add(x.data, wb, rows).reshape(rows * stride, c_out)[pl : pl + t_out] + b.data
+    data = _shift_add(x.data, wb, rows).reshape(rows * stride, c_out)[pl : pl + t_out]
+    data += b.data
 
     def bwd(g):
         gb = np.zeros((rows * stride, c_out), dtype=g.dtype)
@@ -615,6 +635,42 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding=0
         return gx, gw, g.sum(axis=0)
 
     return _make(data, (x, w, b), bwd, "conv1d_transpose")
+
+
+def frame_chunks(stack: Callable, x: Tensor, rate_in: int, rate_out: int, params: Sequence) -> Tensor:
+    """``stack(x)`` for a stack of convolutions and pointwise ops, with
+    weights ``params``, that maps each frame of ``rate_in`` rows of ``x``
+    to ``rate_out`` output rows; rows past the last whole frame feed the
+    last one. An output frame must depend only on input frames at most
+    ``HALO_FRAMES`` away.
+
+    When no graph is recorded and the clip is longer than ``CHUNK_FRAMES``
+    frames, the stack runs on the fewest equal chunks (to a frame) of at
+    most that many frames, each with ``HALO_FRAMES`` frames of context on
+    either side (fewer at the clip's ends), and each chunk's own frames are
+    written into one output, so the stack's temporaries stay chunk-sized
+    whatever the clip's length (EnCodec's streaming conv inference,
+    Defossez et al., arXiv 2210.13438). A frame's receptive field then holds
+    the same values as in one pass, and each output row sees the same
+    operations, so the result is the same to the bit. Equal chunks keep
+    every product at least half a chunk tall: a last chunk of a few frames
+    would send its products to BLAS's matrix-vector or small-matrix
+    kernels, whose rounding differs from the one-pass product's. A
+    recorded graph runs in one pass, as backward needs it whole.
+    """
+    frames = x.shape[0] // rate_in
+    if frames <= CHUNK_FRAMES or _records((x, *params)):
+        return stack(x)
+    n = -(-frames // CHUNK_FRAMES)
+    out = None
+    for i in range(n):
+        a, b = i * frames // n, (i + 1) * frames // n
+        lo, hi = max(a - HALO_FRAMES, 0), b + HALO_FRAMES
+        y = stack(Tensor(x.data[lo * rate_in : hi * rate_in if hi < frames else None])).data
+        if out is None:
+            out = np.empty((frames * rate_out, *y.shape[1:]), y.dtype)
+        out[a * rate_out : b * rate_out] = y[(a - lo) * rate_out : (b - lo) * rate_out]
+    return Tensor(out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ only its stage widths (``DecoderConfig``) and has ``OUT_KERNEL`` output taps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, conv1d, conv1d_transpose, gelu, tanh
+from .autodiff import ShapeError, Tensor, conv1d, conv1d_transpose, frame_chunks, gelu, tanh
 
 __all__ = ["OUT_KERNEL", "DecoderConfig", "decoder_param_shapes", "init_decoder_params", "decode"]
 
@@ -54,7 +55,9 @@ def decode(quantized: Tensor, params: dict, strides: tuple) -> Tensor:
     Each transposed stage (kernel 2*stride) is one ``conv1d_transpose`` node
     that crops the encoder's padding (stride // 2, stride - stride // 2) off
     its one-stride overshoot, so the length law |decode(q)| =
-    prod(strides) * T holds exactly for every T >= 1.
+    prod(strides) * T holds exactly for every T >= 1. Without a graph a
+    long clip runs in chunks of frames (``autodiff.frame_chunks``); a
+    frame's samples depend on its own frame and the one on either side.
     """
     if quantized.ndim != 2:
         raise ShapeError(f"decode expects (frames, hidden), got shape {quantized.shape}")
@@ -64,10 +67,14 @@ def decode(quantized: Tensor, params: dict, strides: tuple) -> Tensor:
     if quantized.shape[1] != hidden:
         raise ShapeError(f"decode hidden dim {quantized.shape[1]} != decoder input width {hidden}")
 
-    x = quantized
-    for i, stride in enumerate(strides):
-        pad = (stride // 2, stride - stride // 2)
-        x = gelu(conv1d_transpose(x, params[f"dec.tconv{i}.w"], params[f"dec.tconv{i}.b"], stride=stride, padding=pad))
-    half = OUT_KERNEL // 2
-    x = conv1d(x, params["dec.out.w"], params["dec.out.b"], stride=1, padding=(half, half))
-    return tanh(x)[:, 0]
+    stages = [(params[f"dec.tconv{i}.w"], params[f"dec.tconv{i}.b"], s) for i, s in enumerate(strides)]
+    out_w, out_b = params["dec.out.w"], params["dec.out.b"]
+
+    def stack(x):
+        for w, b, stride in stages:
+            x = gelu(conv1d_transpose(x, w, b, stride=stride, padding=(stride // 2, stride - stride // 2)))
+        half = OUT_KERNEL // 2
+        return tanh(conv1d(x, out_w, out_b, stride=1, padding=(half, half)))[:, 0]
+
+    weights = [t for w, b, _ in stages for t in (w, b)] + [out_w, out_b]
+    return frame_chunks(stack, quantized, 1, math.prod(strides), weights)

@@ -18,6 +18,7 @@ from .autodiff import (
     Tensor,
     add,
     conv1d,
+    frame_chunks,
     gelu,
     index_add_rows,
     layer_norm,
@@ -74,6 +75,8 @@ class EncoderConfig:
             raise ValueError(f"strides, conv_channels and heads must be >= 1 and layers >= 0, got {self}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
+        if self.layers and self.hidden // self.heads % 2 != 0:
+            raise ValueError(f"head dim {self.hidden // self.heads} is odd; rotary attention pairs coordinates")
 
     @property
     def hidden(self) -> int:
@@ -145,7 +148,9 @@ def conv_encode(samples: np.ndarray, params: dict, cfg: EncoderConfig) -> Tensor
     """Waveform array (T,) to pre-transformer features (floor(T/320), hidden).
 
     These features double as the contrastive targets of the semantic
-    training stage.
+    training stage. Without a graph a long clip runs in chunks of frames
+    (``autodiff.frame_chunks``); a frame's receptive field spans less than
+    one frame of samples on either side of its own.
     """
     samples = np.asarray(samples)
     if samples.ndim != 1:
@@ -154,19 +159,17 @@ def conv_encode(samples: np.ndarray, params: dict, cfg: EncoderConfig) -> Tensor
         raise ValueError(
             f"clip of {len(samples)} samples is shorter than one frame ({cfg.downsample} samples)"
         )
+    convs = [(params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"], s) for i, s in enumerate(cfg.strides)]
+
+    def stack(x):
+        for i, (w, b, stride) in enumerate(convs):
+            x = conv1d(x, w, b, stride=stride, padding=(stride // 2, stride - stride // 2))
+            if i != len(convs) - 1:
+                x = gelu(x)
+        return x
+
     x = Tensor(samples.reshape(-1, 1))  # (T, 1): one input channel
-    last = len(cfg.strides) - 1
-    for i, stride in enumerate(cfg.strides):
-        x = conv1d(
-            x,
-            params[f"enc.conv{i}.w"],
-            params[f"enc.conv{i}.b"],
-            stride=stride,
-            padding=(stride // 2, stride - stride // 2),
-        )
-        if i != last:
-            x = gelu(x)
-    return x
+    return frame_chunks(stack, x, cfg.downsample, 1, [t for w, b, _ in convs for t in (w, b)])
 
 
 def _expert_ffn(u: Tensor, params: dict, prefix: str) -> Tensor:

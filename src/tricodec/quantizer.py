@@ -49,6 +49,8 @@ COMMIT_BETA = 0.25
 
 # book rows per block when effective_book takes the float64 norms
 _NORM_ROWS = 1024
+# book rows per block of _nearest's screen
+_SCREEN_COLS = 2048
 
 
 @dataclass(frozen=True)
@@ -182,22 +184,42 @@ def _nearest(f: np.ndarray, book: np.ndarray, sq: np.ndarray) -> np.ndarray:
     the book's dtype, as in float32 inference, the candidates' exact
     distances are the values a float64 search of the same values sees, so
     the ids are too.
+
+    The screen runs over blocks of ``_SCREEN_COLS`` book rows against all
+    frames, into one reused buffer, so the book is read once and no
+    (frames, book) array is held; the frames are scaled by -2 before the
+    product, which is exact. Each block adds the candidates within
+    tolerance of the running row minimum, a superset of those within
+    tolerance of the final minimum, which then cuts them to the one-pass
+    candidate set. A row whose screen minimum is not finite takes every
+    column as a candidate.
     """
     f64 = np.asarray(f, dtype=np.float64)
-    d = np.asarray(f, dtype=book.dtype) @ book.T
-    d *= -2.0
-    d += sq.astype(book.dtype, copy=False)
-    dmin = d.min(axis=1)
     tol = 2.0 * (f.shape[1] + 2) * np.finfo(book.dtype).eps * (np.sum(f64 * f64, axis=1) + 2.0 * sq.max())
-    near = d <= (dmin + tol)[:, None]
-    near[np.arange(len(d)), np.argmin(d, axis=1)] = True  # keeps non-finite rows
-    # the flat scan gives np.nonzero's row-major order at a fraction of its
-    # cost on a (T, 16384) mask
-    rows, cols = np.divmod(np.flatnonzero(near), near.shape[1])
+    fs = np.asarray(f, dtype=book.dtype) * -2.0
+    n_rows, n_cols = len(f), len(book)
+    buf = np.empty(n_rows * min(n_cols, _SCREEN_COLS), book.dtype)
+    dmin = np.full(n_rows, np.inf, book.dtype)
+    found = []
+    for s in range(0, n_cols, _SCREEN_COLS):
+        block = book[s : s + _SCREEN_COLS]
+        d = np.matmul(fs, block.T, out=buf[: n_rows * len(block)].reshape(n_rows, len(block)))
+        d += sq[s : s + _SCREEN_COLS].astype(book.dtype, copy=False)
+        np.minimum(dmin, d.min(axis=1), out=dmin)
+        # the flat scan gives np.nonzero's row-major order at a fraction of
+        # its cost on a (T, _SCREEN_COLS) mask
+        near = np.flatnonzero(d <= (dmin + tol)[:, None])
+        rows, cols = np.divmod(near, len(block))
+        found.append((rows, cols + s, d.reshape(-1)[near]))
+    rows, cols, screened = (np.concatenate(x) for x in zip(*found))
+    keep = screened <= (dmin + tol)[rows]
+    lost = np.flatnonzero(~np.isfinite(dmin))
+    rows = np.concatenate([rows[keep], np.repeat(lost, n_cols)])
+    cols = np.concatenate([cols[keep], np.tile(np.arange(n_cols), len(lost))])
     exact = np.sum((f64[rows] - book[cols]) ** 2, axis=1)
-    # rows ascending, then exact distance: first hit per row wins. Each row's
-    # columns arrive ascending and lexsort is stable, so ties keep the lowest id
-    order = np.lexsort((exact, rows))
+    # rows ascending, then exact distance, then id: first hit per row wins,
+    # so ties keep the lowest id
+    order = np.lexsort((cols, exact, rows))
     first = np.ones(len(order), dtype=bool)
     first[1:] = rows[order][1:] != rows[order][:-1]
     return cols[order][first]

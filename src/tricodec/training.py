@@ -411,11 +411,13 @@ def train_stage(
         in_progress = _marker(arrays, "meta/stage_in_progress", init_from)
         saved_step = _marker(arrays, "meta/step", init_from)
         if in_progress == cfg.stage.value and saved_step < cfg.steps:
-            # mid-stage resume: restore optimizer moments and RNG exactly
+            # mid-stage resume: restore optimizer moments and RNG exactly. The
+            # moments update in place in their slices of the load arena, which
+            # the parameters share until their first step, so one set is held
             opt = AdamW(codec.trainable())
             for name, param in opt.params.items():
-                opt.m[name] = _resume_tensor(arrays, f"adam_m/{name}", param.shape, init_from).copy()
-                opt.v[name] = _resume_tensor(arrays, f"adam_v/{name}", param.shape, init_from).copy()
+                opt.m[name] = _resume_tensor(arrays, f"adam_m/{name}", param.shape, init_from)
+                opt.v[name] = _resume_tensor(arrays, f"adam_v/{name}", param.shape, init_from)
             opt.t = int(_resume_tensor(arrays, "meta/adam_t", (), init_from))
             rng = _rng_from_u64(_resume_tensor(arrays, "meta/rng_state", (6,), init_from))
             start_step = saved_step

@@ -400,6 +400,15 @@ def test_encoder_config_validation():
     assert EncoderConfig(conv_channels=(4, 8), strides=(2, 4), layers=0).layers == 0
 
 
+def test_encoder_config_rejects_an_odd_head_width_only_with_layers():
+    # rotary attention pairs a head's coordinates; with no layers the head
+    # count is never used
+    with pytest.raises(ValueError, match="odd"):
+        EncoderConfig(conv_channels=(4, 8), strides=(2, 4), heads=8)
+    assert EncoderConfig(conv_channels=(4, 8), strides=(2, 4), heads=8, layers=0).heads == 8
+    assert EncoderConfig(conv_channels=(4, 8), strides=(2, 4), heads=4).heads == 4
+
+
 def test_encoder_downsample_product():
     assert CFG.downsample == 320
     assert EncoderConfig().downsample == 320

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tricodec import checkpoint as ckpt
-from tricodec import quantizer, training
+from tricodec import decoder, encoder, quantizer, training
 from tricodec.checkpoint import CheckpointError
-from tricodec.decoder import DecoderConfig
-from tricodec.encoder import EncoderConfig, MoEConfig
+from tricodec.decoder import DecoderConfig, decode, decoder_param_shapes
+from tricodec.encoder import EncoderConfig, MoEConfig, conv_encode, encoder_param_shapes
 from tricodec.model import Codec, CodecConfig
-from tricodec.autodiff import Tensor
+from tricodec.autodiff import CHUNK_FRAMES, HALO_FRAMES, Tensor, no_grad
 from tricodec.quantizer import QuantizerConfig, quantize, simvq_embed
 from tricodec.signal import AudioClip, Domain
 
@@ -297,6 +297,100 @@ def test_float32_encode_memory_grows_linearly_in_clip_length(tmp_path):
     assert peaks[40] < 100 << 20, peaks
 
 
+def encoder_reach(cfg: EncoderConfig) -> tuple:
+    """(frames before, frames after) of samples that one frame's conv
+    features read beyond its own, from each conv's stride, kernel and
+    padding: output t of a conv reads inputs stride * t - pad_l onwards,
+    kernel of them."""
+    t = 100
+    lo = hi = t
+    for i in reversed(range(len(cfg.strides))):
+        s, k = cfg.strides[i], encoder_param_shapes(cfg)[f"enc.conv{i}.w"][2]
+        lo, hi = s * lo - s // 2, s * hi - s // 2 + k - 1
+    return t - lo // cfg.downsample, hi // cfg.downsample - t
+
+
+def decoder_reach(config: CodecConfig) -> tuple:
+    """(frames before, frames after) that one frame's decoded samples read
+    beyond its own: the output conv reads half its kernel either side, and
+    a transposed conv's output p = stride * t + j - pad_l, j < kernel, reads
+    the frames t that can reach it."""
+    strides = config.encoder.strides
+    shapes = decoder_param_shapes(config.decoder, config.encoder.hidden, strides)
+    f, d, half = 100, config.downsample, shapes["dec.out.w"][2] // 2
+    lo, hi = d * f - half, d * (f + 1) - 1 + half
+    for i in reversed(range(len(strides))):
+        s, k = strides[i], shapes[f"dec.tconv{i}.w"][2]
+        lo, hi = -(-(lo + s // 2 - k + 1) // s), (hi + s // 2) // s
+    return f - lo, hi - f
+
+
+@pytest.mark.parametrize("preset", ["toy", "full"])
+def test_chunk_halo_covers_the_conv_receptive_fields(preset):
+    # a chunk's frames are exact only if what they read lies within the halo
+    config = getattr(CodecConfig, preset)()
+    for reach in (encoder_reach(config.encoder), decoder_reach(config)):
+        assert 0 < max(reach) <= HALO_FRAMES, reach
+
+
+@pytest.fixture(scope="module")
+def toy_codec():
+    return Codec(CodecConfig.toy(), seed=2)
+
+
+@pytest.mark.parametrize("frames", [1, 127, 128, 129, 261])
+def test_chunked_conv_stacks_match_one_recorded_pass_to_the_bit(toy_codec, frames, monkeypatch):
+    # the graph's one pass against no_grad's chunks, on both sides of one
+    # chunk; the waveform ends in a partial frame, which the last chunk reads
+    params, cfg = toy_codec.params, toy_codec.config.encoder
+    rng = np.random.default_rng(frames)
+    samples = (0.3 * rng.standard_normal(frames * cfg.downsample + 100)).astype(np.float32)
+    q = Tensor(rng.standard_normal((frames, cfg.hidden)).astype(np.float32))
+    graph_feats, graph_wave = conv_encode(samples, params, cfg), decode(q, params, cfg.strides)
+    assert graph_feats.requires_grad and graph_wave.requires_grad
+    calls = {}
+    for module in (encoder, decoder):
+        def counted(*args, _conv=module.conv1d, _name=module.__name__, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _conv(*args, **kw)
+
+        monkeypatch.setattr(module, "conv1d", counted)
+    with no_grad():
+        feats, wave = conv_encode(samples, params, cfg), decode(q, params, cfg.strides)
+    chunks = -(-frames // CHUNK_FRAMES)
+    assert calls == {encoder.__name__: chunks * len(cfg.strides), decoder.__name__: chunks}
+    assert feats.data.dtype == wave.data.dtype == np.float32
+    assert np.array_equal(feats.data, graph_feats.data)
+    assert np.array_equal(wave.data, graph_wave.data)
+
+
+def test_reconstruct_matches_decoding_the_encoded_tokens_past_one_chunk(toy_codec):
+    clip = AudioClip(0.1 * np.random.default_rng(8).standard_normal(3 * 24000), 24000)
+    assert 3 * toy_codec.config.tokens_per_second > CHUNK_FRAMES
+    a = toy_codec.reconstruct(clip)
+    b = toy_codec.decode_tokens(toy_codec.encode(clip))
+    assert np.array_equal(a.samples, b.samples)
+
+
+def test_float32_decode_memory_is_bounded_in_clip_length(toy_codec):
+    # without a graph the decoder runs in chunks of frames: past the output
+    # itself, doubling a 20 s clip adds at most a fifth to the peak. In one
+    # pass every stage's activations and GEMM stacks grow with the clip.
+    rng = np.random.default_rng(7)
+    above = {}
+    for seconds in (20, 40):
+        q = Tensor(rng.standard_normal((75 * seconds, toy_codec.config.encoder.hidden)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                wave = decode(q, toy_codec.params, toy_codec.config.encoder.strides)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        above[seconds] = peak - wave.data.nbytes
+    assert above[40] <= 1.2 * above[20], above
+
+
 def test_load_skips_the_optimizer_state(tmp_path):
     # a training checkpoint also holds AdamW's two moments per trainable
     # parameter; Codec.load seeks past them and its arena holds only the
@@ -494,6 +588,15 @@ def test_checkpoint_with_degenerate_encoder_shape_is_rejected(tmp_path, key, val
     # a zero stride or head count once escaped as ZeroDivisionError
     path = tmp_path / "bad.tckp"
     save_with_config_key(Codec(CodecConfig.toy(), seed=5), path, "encoder", key, value)
+    with pytest.raises(CheckpointError, match="embedded model config is invalid"):
+        Codec.load(path)
+
+
+def test_checkpoint_with_an_odd_head_width_is_rejected(tmp_path):
+    # 64 heads of width 1 once loaded and then failed the first encode
+    # with a ShapeError from rotary attention
+    path = tmp_path / "bad.tckp"
+    save_with_config_key(Codec(CodecConfig.toy(), seed=5), path, "encoder", "heads", 64)
     with pytest.raises(CheckpointError, match="embedded model config is invalid"):
         Codec.load(path)
 

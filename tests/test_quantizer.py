@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tricodec.autodiff import Tensor, backward, mul, tsum
 from tricodec.quantizer import (
     _NORM_ROWS,
+    _SCREEN_COLS,
     BASE_MEAN,
     BASE_STD,
     QuantizerConfig,
@@ -141,6 +142,12 @@ def exact_oracle(frames, book):
 # always run: 12 frames here keep three near candidates each, which pins
 # the re-rank's row and column order over the flat scan of the screen's mask
 @example(seed=1, book_dtype=np.float32, frame_dtype=np.float32, size=300, width=16, offset=4.0)
+# books of three screen blocks: the anchors sit in the first block and
+# their copies in the last two, so ties must still go to the lowest id
+# across blocks
+@example(seed=2, book_dtype=np.float32, frame_dtype=np.float32, size=2 * _SCREEN_COLS + 5, width=8, offset=4.0)
+@example(seed=3, book_dtype=np.float32, frame_dtype=np.float64, size=2 * _SCREEN_COLS + 5, width=8, offset=100.0)
+@example(seed=4, book_dtype=np.float64, frame_dtype=np.float32, size=3 * _SCREEN_COLS, width=8, offset=0.0)
 def test_nearest_matches_exact_oracle(seed, book_dtype, frame_dtype, size, width, offset):
     # Rows far apart in the book (so in different GEMM blocks) are made
     # bit-identical or one ulp apart; frames sit on or just off them. The
@@ -160,6 +167,19 @@ def test_nearest_matches_exact_oracle(seed, book_dtype, frame_dtype, size, width
     frames = np.concatenate([on, near, offset + rng.standard_normal((4, width))]).astype(frame_dtype)
     sq = np.sum(book.astype(np.float64) ** 2, axis=1)
     assert np.array_equal(_nearest(frames, book, sq), exact_oracle(frames, book))
+
+
+def test_nearest_reranks_every_id_of_a_frame_whose_screen_overflows():
+    # float32 codewords whose products and squared norms overflow float32:
+    # a large frame's screen reads NaN against them, so that frame re-ranks
+    # the whole book in float64, where the distances are finite; the small
+    # frame's screen stays finite
+    book = np.array([[1e20, 0.0], [0.0, 1e20], [1e20, 1e20], [1.0, 1.0]], dtype=np.float32)
+    frames = np.array([[9e19, 1.1e20], [1e20, 9e19], [1.0, 2.0]], dtype=np.float32)
+    sq = np.sum(book.astype(np.float64) ** 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ids = _nearest(frames, book, sq)
+    assert np.array_equal(ids, exact_oracle(frames, book))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

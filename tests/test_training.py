@@ -1,11 +1,12 @@
 """Optimizer, LR schedule, stage configs, training loop, and resume logic."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tricodec import autodiff
+from tricodec import autodiff, training
 from tricodec import checkpoint as ckpt
 from tricodec.autodiff import Tensor, add, mul
 from tricodec.decoder import DecoderConfig
@@ -296,6 +297,41 @@ def test_mid_stage_resume_is_bit_exact(acoustic_run, tmp_path, monkeypatch):
     assert set(a) == set(b)
     for k in a:
         assert np.array_equal(a[k], b[k]), k
+
+
+def test_mid_stage_resume_holds_one_set_of_moments(tmp_path, monkeypatch):
+    # After the first resumed step, what the trainer and the checkpoint
+    # reader allocated and still hold is the load arena (every parameter,
+    # both moments) and the stepped trainable parameters. Copying the
+    # moments out of the arena, as a resume once did, held a second set.
+    codec = Codec(CodecConfig.toy(), seed=4)
+    opt = AdamW(codec.trainable())
+    for name in opt.params:
+        opt.m[name] += 1e-3
+        opt.v[name] += 1e-6
+    opt.t = 1
+    mid = tmp_path / "mid.tckp"
+    training._save_state(mid, codec, opt, np.random.default_rng(5), 1, 0, Stage.ACOUSTIC.value)
+    params = sum(t.data.nbytes for t in codec.params.values())
+    stepped = sum(t.data.nbytes for t in codec.trainable().values())
+    held = []
+    step = AdamW.step
+
+    def traced_step(self, lr):
+        step(self, lr)
+        if not held:
+            mine = [tracemalloc.Filter(True, training.__file__), tracemalloc.Filter(True, ckpt.__file__)]
+            held.append(sum(s.size for s in tracemalloc.take_snapshot().filter_traces(mine).statistics("filename")))
+
+    monkeypatch.setattr(AdamW, "step", traced_step)
+    cfg = StageConfig.acoustic(steps=2, batch_size=1, seed=3)
+    tracemalloc.start()
+    try:
+        train_stage(gen_toy_dataset(0, 1, 0.5), cfg, tmp_path / "run", init_from=mid)
+    finally:
+        tracemalloc.stop()
+    one_set = params + 2 * stepped + stepped
+    assert held and held[0] < one_set + stepped // 2, f"{held[0]} bytes held for {one_set} of state"
 
 
 def test_float64_checkpoint_resumes_in_float32(tmp_path, float64_draws):
